@@ -218,7 +218,6 @@ OverloadResult run_overload(std::uint64_t seed) {
   // come back Unrecovered and must be retried on a fresh clean device.
   po.fault = {.p_block_drop = 0.3, .p_bitflip = 0.2, .seed = seed};
   po.ft = {.abft = true, .max_launch_retries = 0};
-  po.max_solve_retries = 1;
   OverloadResult o;
   {
     serve::SolverPool pool(po);

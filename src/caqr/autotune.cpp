@@ -17,11 +17,13 @@ double microbench_apply_qt_h(const gpusim::GpuMachineModel& model, idx block_h,
   std::vector<idx> offsets;
   offsets.reserve(static_cast<std::size_t>(nblocks) + 1);
   for (idx b = 0; b <= nblocks; ++b) offsets.push_back(b * block_h);
-  std::vector<float> taus(static_cast<std::size_t>(nblocks * block_w), 0.5f);
 
+  // A ModelOnly launch never reads the reflector scalars, so none are
+  // allocated: filling up to 1 MiB of them per probe was most of a plan
+  // build's host time.
   kernels::ApplyQtHKernel<float> k{panel.view(),
                                    &offsets,
-                                   taus.data(),
+                                   /*taus=*/nullptr,
                                    trailing.view(),
                                    block_w,
                                    kernels::cost_params(variant),

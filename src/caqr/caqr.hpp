@@ -193,10 +193,14 @@ class CaqrFactorization {
   }
 
   // Explicit m x qcols orthogonal factor (SORGQR equivalent); qcols == 0
-  // yields an m x 0 matrix.
+  // yields an m x 0 matrix. On a ModelOnly device Q is a shape-only
+  // placeholder: the identity costs nothing on the timeline, so only the
+  // apply_q walk is charged.
   Matrix<T> form_q(gpusim::Device& dev, idx qcols) const {
     CAQR_CHECK(qcols >= 0 && qcols <= a_.rows());
-    Matrix<T> q = Matrix<T>::identity(a_.rows(), qcols);
+    Matrix<T> q = dev.mode() == gpusim::ExecMode::Functional
+                      ? Matrix<T>::identity(a_.rows(), qcols)
+                      : Matrix<T>::shape_only(a_.rows(), qcols);
     apply_q(dev, q.view());
     return q;
   }

@@ -99,13 +99,28 @@ double predict_hybrid_seconds(const gpusim::GpuMachineModel& model, idx m,
   return baselines::hybrid_qr(probe, Matrix<T>::shape_only(m, n), opt).seconds;
 }
 
+// The §V.C selector between the two Householder algorithms: CAQR unless
+// the hybrid is predicted strictly faster. Every Auto resolution that does
+// not consult a plan (adaptive_qr, least_squares_solve, verbatim serve
+// requests) goes through here.
+template <typename T>
+QrAlgorithm pick_householder(const gpusim::GpuMachineModel& model, idx m,
+                             idx n, const CaqrOptions& caqr_opt = {},
+                             const baselines::HybridQrOptions& hybrid_opt = {}) {
+  return predict_caqr_seconds<T>(model, m, n, caqr_opt) <=
+                 predict_hybrid_seconds<T>(model, m, n, hybrid_opt)
+             ? QrAlgorithm::Caqr
+             : QrAlgorithm::Hybrid;
+}
+
 // Shape-adaptive QR: factors A and returns explicit (Q, R). With Auto, the
 // algorithm is re-predicted on every call — repeated same-shape traffic
 // should go through serve::SolverPool / serve::PlanCache, which memoize
-// the selection and tuning per (shape, dtype, model fingerprint). Copies
-// its input (the factorization is destructive); requires backing storage,
-// i.e. functional inputs — for a ModelOnly cost estimate use the
-// predict_* functions above.
+// the selection and tuning per (shape, dtype, model fingerprint). On a
+// Functional device it copies its input (the factorization is destructive)
+// and returns real factors. On a ModelOnly device it touches no data: the
+// input may be a Matrix::shape_only placeholder, the identical launch
+// sequence is charged, and Q and R come back shape-only.
 template <typename VA>
 QrSolveResult<view_scalar_t<VA>> adaptive_qr(
     gpusim::Device& dev, const VA& a_in, QrAlgorithm algo = QrAlgorithm::Auto,
@@ -115,35 +130,40 @@ QrSolveResult<view_scalar_t<VA>> adaptive_qr(
   const ConstMatrixView<T> a = cview(a_in);
   const idx m = a.rows(), n = a.cols();
   const idx k = std::min(m, n);
+  const bool functional = dev.mode() == gpusim::ExecMode::Functional;
 
   if (algo == QrAlgorithm::Auto) {
-    const double t_caqr = predict_caqr_seconds<T>(dev.model(), m, n, caqr_opt);
-    const double t_hybrid =
-        predict_hybrid_seconds<T>(dev.model(), m, n, hybrid_opt);
-    algo = t_caqr <= t_hybrid ? QrAlgorithm::Caqr : QrAlgorithm::Hybrid;
+    algo = pick_householder<T>(dev.model(), m, n, caqr_opt, hybrid_opt);
   }
 
   const double t0 = dev.elapsed_seconds();
   QrSolveResult<T> out;
   out.used = algo;
+  auto input = [&] {
+    return functional ? Matrix<T>::from(a) : Matrix<T>::shape_only(m, n);
+  };
   if (is_cholqr(algo)) {
-    auto res =
-        tsqr::cholqr(dev, Matrix<T>::from(a), cholqr_options_for(algo, caqr_opt));
+    auto res = tsqr::cholqr(dev, input(), cholqr_options_for(algo, caqr_opt));
     out.q = std::move(res.q);
     out.r = std::move(res.r);
     out.severity = res.severity;
     out.cholqr_fallback = res.fell_back;
     out.run_status.severity = res.severity;
   } else if (algo == QrAlgorithm::Caqr) {
-    auto f = CaqrFactorization<T>::factor(dev, Matrix<T>::from(a), caqr_opt);
-    out.r = f.r();
+    auto f = CaqrFactorization<T>::factor(dev, input(), caqr_opt);
+    out.r = functional ? f.r() : Matrix<T>::shape_only(k, n);
     out.q = f.form_q(dev, k);
     out.run_status = f.status();
     out.severity = out.run_status.severity;
   } else {
-    auto res = baselines::hybrid_qr(dev, Matrix<T>::from(a), hybrid_opt);
-    out.r = extract_r(res.factored.view());
-    out.q = form_q(res.factored.view(), res.tau.data(), k);
+    auto res = baselines::hybrid_qr(dev, input(), hybrid_opt);
+    if (functional) {
+      out.r = extract_r(res.factored.view());
+      out.q = form_q(res.factored.view(), res.tau.data(), k);
+    } else {
+      out.r = Matrix<T>::shape_only(k, n);
+      out.q = Matrix<T>::shape_only(m, k);
+    }
     // Forming Q costs roughly another factorization's worth of GEMM work.
     baselines::charge_gemm(dev, m, k, k, "hybrid_orgqr");
   }
@@ -163,12 +183,7 @@ Matrix<view_scalar_t<VA>> least_squares_solve(gpusim::Device& dev,
   const idx m = a.rows(), n = a.cols();
   CAQR_CHECK(m >= n && b.rows() == m);
 
-  if (algo == QrAlgorithm::Auto) {
-    algo = predict_caqr_seconds<T>(dev.model(), m, n) <=
-                   predict_hybrid_seconds<T>(dev.model(), m, n)
-               ? QrAlgorithm::Caqr
-               : QrAlgorithm::Hybrid;
-  }
+  if (algo == QrAlgorithm::Auto) algo = pick_householder<T>(dev.model(), m, n);
 
   Matrix<T> x(n, b.cols());
   if (algo == QrAlgorithm::Caqr) {

@@ -196,7 +196,11 @@ class CheckpointReader {
       return false;
     }
     out.resize(it->second.size() / sizeof(T));
-    std::memcpy(out.data(), it->second.data(), it->second.size());
+    // An empty section leaves out.data() null, and memcpy from or to null
+    // is undefined even for zero bytes.
+    if (!out.empty()) {
+      std::memcpy(out.data(), it->second.data(), it->second.size());
+    }
     return true;
   }
 

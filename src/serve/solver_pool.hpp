@@ -10,22 +10,30 @@
 // GPU per worker — the simulated analogue of a multi-GPU serving box),
 // pulling requests from one bounded MPMC queue.
 //
+// Every request takes one path, in both exec modes: admission (one helper
+// behind submit, try_submit, submit_batch and submit_task), one dispatch
+// queue, plan resolution, then caqr::adaptive_qr on the worker's device.
+// ModelOnly pools serve Matrix::shape_only placeholders through that same
+// adaptive_qr, which charges the identical launch sequence and returns
+// shape-only factors, so the two modes cannot drift apart.
+//
 // Queue semantics:
 //   * Bounded with backpressure. `submit` blocks while the queue is at the
 //     high-water mark (PoolOptions::queue_capacity); `try_submit` instead
 //     returns an already-satisfied RequestStatus::Rejected response.
-//   * FIFO within priority: requests are dispatched in ascending
-//     (priority, submission sequence) order — lower priority value first,
-//     submission order within a priority level.
-//   * Weighted fair share (opt-in, PoolOptions::fair_share): dispatch is
-//     deficit round-robin across RequestOptions::tenant. Each scheduler
-//     visit credits a tenant's deficit by its weight; the tenant serves one
-//     request (its own priority/FIFO order) when the deficit reaches 1 and
-//     pays 1 for it, so long-run service ratios match the weights. A tenant
-//     passed over while holding work bumps the starvation counters in
-//     PoolStats — sustained starvation of a low-weight tenant is visible,
-//     never silent. Deficits reset when a tenant's queue empties (no credit
-//     hoarding across idle periods).
+//   * Weighted fair share: dispatch is deficit round-robin (DRR) across
+//     RequestOptions::tenant. Each scheduler visit credits a tenant's
+//     deficit by its weight; the tenant serves one request when the deficit
+//     reaches 1 and pays 1 for it, so long-run service ratios match the
+//     weights. A tenant passed over while holding work bumps the starvation
+//     counters in PoolStats — sustained starvation of a low-weight tenant is
+//     visible, never silent. Deficits reset when a tenant's queue empties
+//     (no credit hoarding across idle periods).
+//   * FIFO within priority: inside a tenant, requests are dispatched in
+//     ascending (priority, submission sequence) order — lower priority value
+//     first, submission order within a priority level. A pool whose
+//     requests all carry the default tenant (weight 1) therefore dispatches
+//     in exactly that order.
 //   * Per-request deadlines: a request whose host-clock deadline passed
 //     before a worker picked it up is completed as DeadlineExpired without
 //     running — and re-checked once more after plan resolution, immediately
@@ -43,13 +51,14 @@
 // across 1/2/8 workers by tests/test_serve. Only scheduling metadata (which
 // worker ran it, queueing delay) varies.
 //
-// Planning: with use_plan_cache on, workers resolve each request's
-// algorithm and tuned block shape through a shared PlanCache — the second
-// request of a shape skips the autotune sweep and both cost predictions.
-// With it off, every request re-plans from scratch (the cache-off axis of
-// bench_serve_throughput). Requests with use_plan=false bypass planning and
-// run their CaqrOptions verbatim — the bit-compatibility mode PooledQrHook
-// uses to match inline factorizations exactly.
+// Planning: workers resolve each request's algorithm and tuned block shape
+// through a shared PlanCache — the second request of a shape skips the
+// autotune sweep and every cost prediction. use_plan_cache = false gives
+// the cache capacity 0, so every lookup is a miss that re-plans from
+// scratch (the cache-off axis of bench_serve_throughput). Requests with
+// use_plan=false bypass planning and run their CaqrOptions verbatim — the
+// bit-compatibility mode PooledQrHook uses to match inline factorizations
+// exactly.
 //
 // Thread safety: all public members are safe to call from any thread,
 // including concurrently with workers. Responses are delivered through
@@ -65,6 +74,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -99,8 +109,9 @@ struct PoolOptions {
   std::size_t queue_capacity = 64;    // backpressure high-water mark
   gpusim::GpuMachineModel model = gpusim::GpuMachineModel::c2050();
   gpusim::ExecMode mode = gpusim::ExecMode::Functional;
-  bool use_plan_cache = true;         // shared PlanCache vs re-plan per request
-  std::size_t plan_cache_capacity = 64;
+  // Shared PlanCache of SolverPool::kPlanCacheCapacity plans; off gives the
+  // cache capacity 0, so every request re-plans (and counts a miss).
+  bool use_plan_cache = true;
   // -- Overload protection (both off by default: existing pools keep the
   //    pure backpressure/deadline semantics documented above). --
   // Admission bound BELOW queue_capacity: a request arriving while the queue
@@ -119,24 +130,18 @@ struct PoolOptions {
   // -- Worker-device fault environment. Every worker constructs its device
   //    with this injector + recovery policy, so served solves exercise the
   //    full ft/ ladder (tests and the chaos bench drive Unrecovered solves
-  //    through here). Defaults: no injection, recovery off. --
+  //    through here). Defaults: no injection, recovery off. A solve that
+  //    still reports Severity::Unrecovered after the device-level ladder is
+  //    re-run once on a freshly constructed CLEAN device (no injector, same
+  //    model/policy); the retry's simulated time is charged to the worker's
+  //    timeline as "solve_retry". --
   gpusim::FaultOptions fault;
   ft::FtOptions ft;
-  // A Functional solve that still reports Severity::Unrecovered after the
-  // device-level ladder is re-run on a freshly constructed CLEAN device (no
-  // injector, same model/policy) up to this many times; the retry's
-  // simulated time is charged to the worker's timeline as "solve_retry".
-  int max_solve_retries = 1;
-  // -- Weighted fair-share scheduling (off by default: global
-  //    priority/FIFO order across all tenants, exactly as before). --
-  // Deficit round-robin across RequestOptions::tenant (see the header
-  // comment). Within a tenant, requests still dispatch in (priority,
-  // submission) order.
-  bool fair_share = false;
-  // Relative service weights per tenant id; tenants absent from the map
-  // (and non-positive entries) get weight 1.0. Fractional weights are the
-  // point: weight 0.25 means one served request per four scheduler visits,
-  // with the skipped visits counted as starvation.
+  // Relative deficit round-robin weights per tenant (see the header
+  // comment); tenants absent from the map (and non-positive entries) get
+  // weight 1.0. Fractional weights are the point: weight 0.25 means one
+  // served request per four scheduler visits, with the skipped visits
+  // counted as starvation.
   std::map<int, double> tenant_weights;
   // Test seam: runs on the worker thread after plan resolution, before the
   // pre-solve deadline re-check — lets tests pin "deadline expired during
@@ -147,19 +152,18 @@ struct PoolOptions {
 // Per-request knobs.
 struct RequestOptions {
   QrAlgorithm algo = QrAlgorithm::Auto;
-  // Dispatch key, lower first; FIFO within equal priority.
+  // Dispatch key within a tenant, lower first; FIFO within equal priority.
   int priority = 0;
-  // Fair-share scheduling class (a camera stream, a customer, ...). Only
-  // consulted when PoolOptions::fair_share is on; weight comes from
-  // PoolOptions::tenant_weights.
+  // Fair-share scheduling class (a camera stream, a customer, ...); weight
+  // comes from PoolOptions::tenant_weights.
   int tenant = 0;
   // Host-clock budget from submission to dispatch; <= 0 means no deadline.
   double deadline_seconds = 0;
   // When true (the default), the worker resolves {algorithm, tuned block
-  // shape} through planning (cached or not per PoolOptions) with `caqr` as
-  // the base options. When false, `caqr` runs verbatim and Auto resolves by
-  // prediction only — no tuning applied — so results are bit-identical to
-  // an inline adaptive_qr with the same options.
+  // shape} through the pool's PlanCache with `caqr` as the base options.
+  // When false, `caqr` runs verbatim and Auto resolves by prediction only —
+  // no tuning applied — so results are bit-identical to an inline
+  // adaptive_qr with the same options.
   bool use_plan = true;
   CaqrOptions caqr;
   // Condition-number estimate for the input, when the caller has one
@@ -223,8 +227,12 @@ struct PoolStats {
 
 class SolverPool {
  public:
+  // Resident plans in the shared PlanCache when use_plan_cache is on.
+  static constexpr std::size_t kPlanCacheCapacity = 64;
+
   explicit SolverPool(PoolOptions opts = {})
-      : opts_(std::move(opts)), cache_(opts_.plan_cache_capacity) {
+      : opts_(std::move(opts)),
+        cache_(opts_.use_plan_cache ? kPlanCacheCapacity : 0) {
     CAQR_CHECK(opts_.workers >= 1 && opts_.queue_capacity >= 1);
     busy_sim_.assign(static_cast<std::size_t>(opts_.workers), 0.0);
     threads_.reserve(static_cast<std::size_t>(opts_.workers));
@@ -257,7 +265,8 @@ class SolverPool {
   template <typename T>
   std::future<QrResponse<T>> submit(Matrix<T> a,
                                     const RequestOptions& req = {}) {
-    return submit_impl(std::move(a), req, /*blocking=*/true);
+    return admit<QrResponse<T>>(req, /*blocking=*/true,
+                                solve_one(std::move(a), req));
   }
 
   // Non-blocking admission: a full queue (or stopping pool) yields an
@@ -265,7 +274,8 @@ class SolverPool {
   template <typename T>
   std::future<QrResponse<T>> try_submit(Matrix<T> a,
                                         const RequestOptions& req = {}) {
-    return submit_impl(std::move(a), req, /*blocking=*/false);
+    return admit<QrResponse<T>>(req, /*blocking=*/false,
+                                solve_one(std::move(a), req));
   }
 
   // Submits k same-shape problems as ONE queue entry served by one fused
@@ -274,36 +284,12 @@ class SolverPool {
   template <typename T>
   std::future<BatchResponse<T>> submit_batch(std::vector<Matrix<T>> problems,
                                              const RequestOptions& req = {}) {
-    auto prom = std::make_shared<std::promise<BatchResponse<T>>>();
-    auto fut = prom->get_future();
     auto probs = std::make_shared<std::vector<Matrix<T>>>(std::move(problems));
-    Job job;
-    job.run = [this, prom, probs, req](gpusim::Device& dev, bool,
-                                       Clock::time_point) {
-      BatchResponse<T> resp;
-      try {
-        run_batch<T>(dev, *probs, req, resp);
-        prom->set_value(std::move(resp));
-        return RequestStatus::Done;
-      } catch (...) {
-        prom->set_exception(std::current_exception());
-        return RequestStatus::Done;
-      }
-    };
-    job.finish = [prom](RequestStatus s) {
-      BatchResponse<T> resp;
-      resp.status = s;
-      prom->set_value(std::move(resp));
-    };
-    const Admit adm = enqueue(std::move(job), req, /*blocking=*/true);
-    if (adm != Admit::Queued) {
-      // job.finish was not called by the queue: answer here.
-      BatchResponse<T> resp;
-      resp.status = adm == Admit::Shed ? RequestStatus::Shed
-                                       : RequestStatus::Rejected;
-      prom->set_value(std::move(resp));
-    }
-    return fut;
+    return admit<BatchResponse<T>>(
+        req, /*blocking=*/true,
+        [this, probs, req](gpusim::Device& dev, Clock::time_point) {
+          return run_batch<T>(dev, *probs, req);
+        });
   }
 
   // Escape hatch: run an arbitrary task on a worker's device (tests use it
@@ -311,26 +297,12 @@ class SolverPool {
   std::future<RequestStatus> submit_task(
       std::function<void(gpusim::Device&)> fn, const RequestOptions& req = {},
       bool blocking = true) {
-    auto prom = std::make_shared<std::promise<RequestStatus>>();
-    auto fut = prom->get_future();
-    Job job;
-    job.run = [prom, fn = std::move(fn)](gpusim::Device& dev, bool,
-                                         Clock::time_point) {
-      try {
-        fn(dev);
-        prom->set_value(RequestStatus::Done);
-      } catch (...) {
-        prom->set_exception(std::current_exception());
-      }
-      return RequestStatus::Done;
-    };
-    job.finish = [prom](RequestStatus s) { prom->set_value(s); };
-    const Admit adm = enqueue(std::move(job), req, blocking);
-    if (adm != Admit::Queued) {
-      prom->set_value(adm == Admit::Shed ? RequestStatus::Shed
-                                         : RequestStatus::Rejected);
-    }
-    return fut;
+    return admit<RequestStatus>(
+        req, blocking,
+        [fn = std::move(fn)](gpusim::Device& dev, Clock::time_point) {
+          fn(dev);
+          return RequestStatus::Done;
+        });
   }
 
   // Blocks until the queue is empty and no worker is running a request.
@@ -349,9 +321,11 @@ class SolverPool {
     s.shed = shed_;
     s.solve_retries = solve_retries_;
     s.presolve_expired = presolve_expired_;
-    s.starved_rounds = starved_rounds_;
-    s.tenant_starved = tenant_starved_;
-    s.tenant_served = tenant_served_;
+    for (const auto& [id, t] : tenants_) {
+      s.starved_rounds += t.starved;
+      if (t.starved > 0) s.tenant_starved[id] = t.starved;
+      if (t.served > 0) s.tenant_served[id] = t.served;
+    }
     s.worker_busy_simulated_seconds = busy_sim_;
     return s;
   }
@@ -359,21 +333,30 @@ class SolverPool {
  private:
   using Clock = std::chrono::steady_clock;
 
-  // Admission outcome: only Queued hands the job to a worker.
-  enum class Admit { Queued, Rejected, Shed };
-
   struct Job {
-    // Runs the request; returns its terminal status (Done, or
-    // DeadlineExpired from the post-plan re-check). The promise is
-    // fulfilled inside.
-    std::function<RequestStatus(gpusim::Device&, bool has_deadline,
-                                Clock::time_point deadline)>
-        run;
-    std::function<void(RequestStatus)> finish;  // terminal non-Done outcome
-    bool has_deadline = false;
-    Clock::time_point deadline{};
-    int tenant = 0;
+    // Runs the request on a worker's device, given its deadline, and returns
+    // its terminal status (Done, or DeadlineExpired from the post-plan
+    // re-check). The response is delivered inside.
+    std::function<RequestStatus(gpusim::Device&, Clock::time_point)> run;
+    // Delivers a terminal non-Done outcome without running the request.
+    std::function<void(RequestStatus)> finish;
+    Clock::time_point deadline = Clock::time_point::max();  // max: none
     Clock::time_point submitted{};  // for the queue-wait histogram
+  };
+
+  // A request's resolved algorithm (never Auto) and options.
+  struct Plan {
+    QrAlgorithm algo;
+    CaqrOptions caqr;
+  };
+
+  // One tenant's DRR state and its (priority, submission) ordered jobs.
+  struct Tenant {
+    std::map<std::pair<int, std::uint64_t>, Job> jobs;
+    double weight = 1.0;
+    double deficit = 0;
+    long long served = 0;
+    long long starved = 0;
   };
 
   static double wall_seconds() {
@@ -381,20 +364,38 @@ class SolverPool {
         .count();
   }
 
-  template <typename T>
-  std::future<QrResponse<T>> submit_impl(Matrix<T> a,
-                                         const RequestOptions& req,
-                                         bool blocking) {
-    auto prom = std::make_shared<std::promise<QrResponse<T>>>();
+  static RequestStatus status_of(RequestStatus s) { return s; }
+  template <typename R>
+  static RequestStatus status_of(const R& resp) {
+    return resp.status;
+  }
+
+  // The response a request gets when it ends in `s` without running.
+  template <typename R>
+  static R terminal(RequestStatus s) {
+    if constexpr (std::is_same_v<R, RequestStatus>) {
+      return s;
+    } else {
+      R resp;
+      resp.status = s;
+      return resp;
+    }
+  }
+
+  // The one admission path. `run(dev, deadline)` executes the request on a
+  // worker and returns its response R; the helper owns the promise, turns
+  // an exception into the future's exception, and answers requests that
+  // never run (Rejected, Shed, DeadlineExpired) with terminal<R>.
+  template <typename R, typename Run>
+  std::future<R> admit(const RequestOptions& req, bool blocking, Run run) {
+    auto prom = std::make_shared<std::promise<R>>();
     auto fut = prom->get_future();
-    auto mat = std::make_shared<Matrix<T>>(std::move(a));
     Job job;
-    job.run = [this, prom, mat, req](gpusim::Device& dev, bool has_deadline,
-                                     Clock::time_point deadline) {
-      QrResponse<T> resp;
+    job.run = [prom, run = std::move(run)](gpusim::Device& dev,
+                                           Clock::time_point deadline) {
       try {
-        run_one<T>(dev, *mat, req, has_deadline, deadline, resp);
-        const RequestStatus s = resp.status;
+        R resp = run(dev, deadline);
+        const RequestStatus s = status_of(resp);
         prom->set_value(std::move(resp));
         return s;
       } catch (...) {
@@ -402,155 +403,116 @@ class SolverPool {
         return RequestStatus::Done;  // exception delivered via the future
       }
     };
-    job.finish = [prom](RequestStatus s) {
-      QrResponse<T> resp;
-      resp.status = s;
-      prom->set_value(std::move(resp));
-    };
-    const Admit adm = enqueue(std::move(job), req, blocking);
-    if (adm != Admit::Queued) {
-      QrResponse<T> resp;
-      resp.status = adm == Admit::Shed ? RequestStatus::Shed
-                                       : RequestStatus::Rejected;
-      prom->set_value(std::move(resp));
-    }
+    job.finish = [prom](RequestStatus s) { prom->set_value(terminal<R>(s)); };
+    enqueue(std::move(job), req, blocking);
     return fut;
+  }
+
+  // The run closure of a single-factorization request (std::function needs
+  // a copyable closure, so the move-only matrix is shared).
+  template <typename T>
+  auto solve_one(Matrix<T> a, const RequestOptions& req) {
+    auto mat = std::make_shared<Matrix<T>>(std::move(a));
+    return [this, mat, req](gpusim::Device& dev, Clock::time_point deadline) {
+      return run_one<T>(dev, *mat, req, deadline);
+    };
   }
 
   // Resolves {algorithm, options} for a request, then runs it on `dev`.
   template <typename T>
-  void run_one(gpusim::Device& dev, Matrix<T>& a, const RequestOptions& req,
-               bool has_deadline, Clock::time_point deadline,
-               QrResponse<T>& resp) {
+  QrResponse<T> run_one(gpusim::Device& dev, const Matrix<T>& a,
+                        const RequestOptions& req,
+                        Clock::time_point deadline) {
     CAQR_PROF_SCOPE("serve.request_ns");
-    const idx m = a.rows(), n = a.cols();
-    QrAlgorithm algo;
-    CaqrOptions opts;
-    const double p0 = wall_seconds();
-    resolve_plan<T>(m, n, req, algo, opts, resp.plan_cache_hit);
-    resp.plan_seconds = wall_seconds() - p0;
+    QrResponse<T> resp;
+    const Plan plan = resolve_plan<T>(a.rows(), a.cols(), req, resp);
     if (opts_.post_plan_hook) opts_.post_plan_hook();
 
     // Pre-solve re-check: the dequeue check bounds queueing delay, but an
     // uncached plan resolution (autotune sweep) can itself outlive a tight
     // deadline — answer DeadlineExpired now instead of burning the solve.
-    if (has_deadline && Clock::now() > deadline) {
+    if (Clock::now() > deadline) {
       static prof::Counter& c = prof::counter("serve.presolve_expired");
       c.add(1);
       resp.status = RequestStatus::DeadlineExpired;
-      return;
+      return resp;
     }
 
     const double t0 = dev.elapsed_seconds();
-    if (dev.mode() == gpusim::ExecMode::Functional) {
-      resp.result = adaptive_qr(dev, a.view(), algo, opts);
-      // Solve-level retry: an Unrecovered outcome (the device-level ladder
-      // exhausted) is re-run on a freshly constructed CLEAN device — no
-      // injector, same model and recovery policy. The retry's simulated
-      // time is charged to the worker's timeline so simulated_seconds and
-      // busy accounting stay honest.
-      while (resp.result.run_status.severity == ft::Severity::Unrecovered &&
-             resp.solve_retries < opts_.max_solve_retries) {
-        ++resp.solve_retries;
-        gpusim::Device clean(opts_.model, opts_.mode);
-        clean.set_fault_tolerance(opts_.ft);
-        QrSolveResult<T> redo = adaptive_qr(clean, a.view(), algo, opts);
-        dev.add_external_seconds(clean.elapsed_seconds(), "solve_retry");
-        // The failed attempt's counters carry over; its Unrecovered
-        // severity does not — the retry superseded it, so the solve as a
-        // whole is at worst Corrected unless the retry also failed.
-        ft::RunStatus prior = resp.result.run_status;
-        prior.severity = ft::Severity::Corrected;
-        redo.run_status.merge(prior);
-        redo.severity = redo.run_status.severity;
-        resp.result = std::move(redo);
-      }
-      if (resp.solve_retries > 0) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        solve_retries_ += resp.solve_retries;
-      }
-    } else {
-      // ModelOnly: charge adaptive_qr's exact launch sequence on
-      // storage-free placeholders (adaptive_qr itself copies the input,
-      // which a shape_only matrix cannot back).
-      const idx k = std::min(m, n);
-      resp.result.used = algo;
-      if (is_cholqr(algo)) {
-        auto res = tsqr::cholqr(dev, Matrix<T>::shape_only(m, n),
-                                cholqr_options_for(algo, opts));
-        resp.result.q = std::move(res.q);
-        resp.result.r = std::move(res.r);
-      } else if (algo == QrAlgorithm::Caqr) {
-        auto f = CaqrFactorization<T>::factor(
-            dev, Matrix<T>::shape_only(m, n), opts);
-        Matrix<T> q = Matrix<T>::shape_only(m, k);
-        f.apply_q(dev, q.view());  // form_q's charges without the identity
-        resp.result.q = std::move(q);
-      } else {
-        baselines::hybrid_qr(dev, Matrix<T>::shape_only(m, n));
-        baselines::charge_gemm(dev, m, k, k, "hybrid_orgqr");
-        resp.result.q = Matrix<T>::shape_only(m, k);
-      }
-      resp.result.r = Matrix<T>::shape_only(k, n);
-      resp.result.simulated_seconds = dev.elapsed_seconds() - t0;
+    resp.result = adaptive_qr(dev, a.view(), plan.algo, plan.caqr);
+    // Solve-level retry: an Unrecovered outcome (the device-level ladder
+    // exhausted) is re-run once on a freshly constructed CLEAN device — no
+    // injector, same model and recovery policy. The retry's simulated time
+    // is charged to the worker's timeline so simulated_seconds and busy
+    // accounting stay honest. ModelOnly launches are never injected, so
+    // only Functional solves can take this branch.
+    if (resp.result.run_status.severity == ft::Severity::Unrecovered) {
+      resp.solve_retries = 1;
+      gpusim::Device clean(opts_.model, opts_.mode);
+      clean.set_fault_tolerance(opts_.ft);
+      QrSolveResult<T> redo = adaptive_qr(clean, a.view(), plan.algo,
+                                          plan.caqr);
+      dev.add_external_seconds(clean.elapsed_seconds(), "solve_retry");
+      // The failed attempt's counters carry over; its Unrecovered severity
+      // does not — the retry superseded it, so the solve as a whole is at
+      // worst Corrected unless the retry also failed.
+      ft::RunStatus prior = resp.result.run_status;
+      prior.severity = ft::Severity::Corrected;
+      redo.run_status.merge(prior);
+      redo.severity = redo.run_status.severity;
+      resp.result = std::move(redo);
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++solve_retries_;
     }
     resp.simulated_seconds = dev.elapsed_seconds() - t0;
     resp.run_status = resp.result.run_status;
+    return resp;
   }
 
   template <typename T>
-  void run_batch(gpusim::Device& dev, std::vector<Matrix<T>>& problems,
-                 const RequestOptions& req, BatchResponse<T>& resp) {
+  BatchResponse<T> run_batch(gpusim::Device& dev,
+                             std::vector<Matrix<T>>& problems,
+                             const RequestOptions& req) {
     CAQR_CHECK(!problems.empty());
-    const idx m = problems.front().rows(), n = problems.front().cols();
-    QrAlgorithm algo;
-    CaqrOptions opts;
-    const double p0 = wall_seconds();
-    resolve_plan<T>(m, n, req, algo, opts, resp.plan_cache_hit);
-    resp.plan_seconds = wall_seconds() - p0;
-    resp.result = factor_batch<T>(dev, std::move(problems), algo, opts);
+    BatchResponse<T> resp;
+    const Plan plan = resolve_plan<T>(problems.front().rows(),
+                                      problems.front().cols(), req, resp);
+    resp.result =
+        factor_batch<T>(dev, std::move(problems), plan.algo, plan.caqr);
+    return resp;
   }
 
-  template <typename T>
-  void resolve_plan(idx m, idx n, const RequestOptions& req,
-                    QrAlgorithm& algo, CaqrOptions& opts, bool& cache_hit) {
-    CAQR_PROF_SCOPE("serve.plan_resolve_ns");
-    algo = req.algo;
-    opts = req.caqr;
-    cache_hit = false;
-    if (req.use_plan) {
-      if (opts_.use_plan_cache) {
+  // Resolves a request's plan, recording the cache hit and host planning
+  // seconds on `resp`.
+  template <typename T, typename Resp>
+  Plan resolve_plan(idx m, idx n, const RequestOptions& req, Resp& resp) {
+    const double p0 = wall_seconds();
+    Plan plan{req.algo, req.caqr};
+    {
+      CAQR_PROF_SCOPE("serve.plan_resolve_ns");
+      if (req.use_plan) {
         const PlanCache::Lookup lk = cache_.lookup<T>(
             opts_.model, m, n, req.algo, req.caqr, req.cond_estimate);
-        cache_hit = lk.hit;
-        algo = lk.plan->chosen;
-        opts = lk.plan->caqr;
-      } else {
-        const QrPlan p = make_plan<T>(opts_.model, m, n, req.algo, req.caqr,
-                                      req.cond_estimate);
-        algo = p.chosen;
-        opts = p.caqr;
+        resp.plan_cache_hit = lk.hit;
+        plan = {lk.plan->chosen, lk.plan->caqr};
+      } else if (plan.algo == QrAlgorithm::Auto) {
+        // Verbatim options: resolve Auto by prediction only, no tuning.
+        plan.algo = pick_householder<T>(opts_.model, m, n, plan.caqr);
       }
-    } else if (algo == QrAlgorithm::Auto) {
-      // Verbatim options: resolve Auto by prediction only, no tuning.
-      algo = predict_caqr_seconds<T>(opts_.model, m, n, opts) <=
-                     predict_hybrid_seconds<T>(opts_.model, m, n)
-                 ? QrAlgorithm::Caqr
-                 : QrAlgorithm::Hybrid;
     }
+    resp.plan_seconds = wall_seconds() - p0;
+    return plan;
   }
 
-  // Admission. Anything but Queued means the job was NOT queued (caller
-  // delivers the terminal response — the job's callbacks are untouched).
-  Admit enqueue(Job job, const RequestOptions& req, bool blocking) {
+  // Admission: queues the job, or answers it at once through job.finish
+  // with Shed (overload protection) or Rejected (full queue or stopping).
+  void enqueue(Job job, const RequestOptions& req, bool blocking) {
     if (req.deadline_seconds > 0) {
-      job.has_deadline = true;
       job.deadline =
           Clock::now() + std::chrono::duration_cast<Clock::duration>(
                              std::chrono::duration<double>(
                                  req.deadline_seconds));
     }
-    job.tenant = req.tenant;
     job.submitted = Clock::now();
     static prof::Counter& wait = prof::counter("serve.pool_lock_wait_ns");
     std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
@@ -558,9 +520,11 @@ class SolverPool {
     // Overload protection runs BEFORE the backpressure wait: a shed caller
     // gets its typed answer immediately instead of blocking on a queue that
     // is already past the depth it is willing to serve.
-    if (const Admit shed = shed_decision(req, job); shed != Admit::Queued) {
+    if (should_shed(req)) {
       ++shed_;
-      return shed;
+      lock.unlock();
+      job.finish(RequestStatus::Shed);
+      return;
     }
     if (blocking) {
       cv_space_.wait(lock, [&] {
@@ -569,67 +533,48 @@ class SolverPool {
     }
     if (stopping_ || queued_ >= opts_.queue_capacity) {
       ++rejected_;
-      return Admit::Rejected;
+      lock.unlock();
+      job.finish(RequestStatus::Rejected);
+      return;
     }
-    if (opts_.fair_share) {
-      if (deficit_.emplace(req.tenant, 0.0).second) {
-        rr_order_.push_back(req.tenant);
-      }
-      tenant_queues_[req.tenant].emplace(
-          std::make_pair(req.priority, seq_++), std::move(job));
-    } else {
-      queue_.emplace(std::make_pair(req.priority, seq_++), std::move(job));
+    const auto [it, fresh] = tenants_.try_emplace(req.tenant);
+    Tenant& t = it->second;
+    if (fresh) {
+      const auto w = opts_.tenant_weights.find(req.tenant);
+      if (w != opts_.tenant_weights.end() && w->second > 0) t.weight = w->second;
+      rr_order_.push_back(&t);
     }
+    t.jobs.emplace(std::make_pair(req.priority, seq_++), std::move(job));
     ++queued_;
     ++submitted_;
     lock.unlock();
     cv_work_.notify_one();
-    return Admit::Queued;
   }
 
-  // Per-tenant service weight; absent or non-positive entries mean 1.0.
-  double tenant_weight(int tenant) const {
-    const auto it = opts_.tenant_weights.find(tenant);
-    return it == opts_.tenant_weights.end() || it->second <= 0 ? 1.0
-                                                               : it->second;
-  }
-
-  // Next job per dispatch policy; call with mutex_ held and queued_ > 0.
-  // Fair-share mode runs deficit round-robin: each visit to a tenant with
-  // work credits its deficit by its weight; a deficit >= 1 buys one served
-  // request, a visit that cannot afford one is a counted starvation skip.
-  // Termination: every full cycle credits each non-empty tenant by its
-  // weight, so within ceil(1/min_weight) cycles someone can afford a serve.
+  // Next job by deficit round-robin; call with mutex_ held and queued_ > 0.
+  // Each visit to a tenant with work credits its deficit by its weight; a
+  // deficit >= 1 buys one served request, a visit that cannot afford one is
+  // a counted starvation skip. Termination: every full cycle credits each
+  // non-empty tenant by its weight, so within ceil(1/min_weight) cycles
+  // someone can afford a serve.
   Job pop_next_locked() {
-    if (!opts_.fair_share) {
-      auto it = queue_.begin();
-      Job job = std::move(it->second);
-      queue_.erase(it);
-      --queued_;
-      return job;
-    }
     for (;;) {
-      for (std::size_t n = 0; n < rr_order_.size(); ++n) {
-        rr_pos_ = (rr_pos_ + 1) % rr_order_.size();
-        const int tenant = rr_order_[rr_pos_];
-        auto& q = tenant_queues_[tenant];
-        if (q.empty()) continue;
-        double& d = deficit_[tenant];
-        d += tenant_weight(tenant);
-        if (d < 1.0) {
-          ++starved_rounds_;
-          ++tenant_starved_[tenant];
-          continue;
-        }
-        d -= 1.0;
-        auto it = q.begin();
-        Job job = std::move(it->second);
-        q.erase(it);
-        if (q.empty()) d = 0.0;  // no credit hoarding across idle periods
-        --queued_;
-        ++tenant_served_[tenant];
-        return job;
+      rr_pos_ = (rr_pos_ + 1) % rr_order_.size();
+      Tenant& t = *rr_order_[rr_pos_];
+      if (t.jobs.empty()) continue;
+      t.deficit += t.weight;
+      if (t.deficit < 1.0) {
+        ++t.starved;
+        continue;
       }
+      t.deficit -= 1.0;
+      auto it = t.jobs.begin();
+      Job job = std::move(it->second);
+      t.jobs.erase(it);
+      if (t.jobs.empty()) t.deficit = 0.0;  // no credit hoarding when idle
+      --queued_;
+      ++t.served;
+      return job;
     }
   }
 
@@ -639,19 +584,19 @@ class SolverPool {
   //   * deadline feasibility — the request's estimated queueing delay
   //     (depth x EMA wall service seconds / workers) exceeds its budget,
   //     so it would expire in the queue anyway.
-  Admit shed_decision(const RequestOptions& req, const Job& job) const {
+  bool should_shed(const RequestOptions& req) const {
     if (opts_.shed_queue_depth > 0 && !stopping_ &&
         queued_ >= opts_.shed_queue_depth) {
-      return Admit::Shed;
+      return true;
     }
-    if (opts_.shed_infeasible_deadlines && job.has_deadline &&
+    if (opts_.shed_infeasible_deadlines && req.deadline_seconds > 0 &&
         ema_service_seconds_ > 0) {
       const double est_wait = static_cast<double>(queued_) *
                               ema_service_seconds_ /
                               static_cast<double>(opts_.workers);
-      if (est_wait > req.deadline_seconds) return Admit::Shed;
+      return est_wait > req.deadline_seconds;
     }
-    return Admit::Queued;
+    return false;
   }
 
   void worker_main(int widx) {
@@ -682,7 +627,7 @@ class SolverPool {
                          Clock::now() - job.submitted)
                          .count());
       }
-      if (job.has_deadline && Clock::now() > job.deadline) {
+      if (Clock::now() > job.deadline) {
         // Count before fulfilling the promise: a waiter woken by the
         // response future must already see the stat it implies.
         bool drained;
@@ -700,7 +645,7 @@ class SolverPool {
       // device time, and results cannot depend on what ran before.
       dev.reset_timeline();
       const double w0 = wall_seconds();
-      const RequestStatus rs = job.run(dev, job.has_deadline, job.deadline);
+      const RequestStatus rs = job.run(dev, job.deadline);
       const double service = wall_seconds() - w0;
       bool drained;
       {
@@ -737,17 +682,12 @@ class SolverPool {
   std::condition_variable cv_work_;   // queue became non-empty / stopping
   std::condition_variable cv_space_;  // queue dropped below capacity
   std::condition_variable cv_drain_;  // a request finished
-  // Dispatch order: ascending (priority, submission sequence) — the single
-  // global queue when fair_share is off, per-tenant queues under deficit
-  // round-robin when it is on. `queued_` counts entries across both.
-  std::map<std::pair<int, std::uint64_t>, Job> queue_;
-  std::map<int, std::map<std::pair<int, std::uint64_t>, Job>> tenant_queues_;
-  std::vector<int> rr_order_;  // tenants in first-seen order
-  std::size_t rr_pos_ = 0;     // last tenant visited by the scheduler
-  std::map<int, double> deficit_;
-  std::map<int, long long> tenant_served_;
-  std::map<int, long long> tenant_starved_;
-  long long starved_rounds_ = 0;
+  // Dispatch order: deficit round-robin over tenants in first-seen order
+  // (pointers into tenants_, whose nodes never move), (priority,
+  // submission sequence) within a tenant. `queued_` counts jobs across all.
+  std::map<int, Tenant> tenants_;
+  std::vector<Tenant*> rr_order_;
+  std::size_t rr_pos_ = 0;  // last tenant visited by the scheduler
   std::size_t queued_ = 0;
   std::uint64_t seq_ = 0;
   int active_ = 0;

@@ -174,7 +174,7 @@ class CameraStream {
 };
 
 struct StreamServeOptions {
-  serve::PoolOptions pool;  // fair_share + tenant_weights are wired here
+  serve::PoolOptions pool;  // tenant_weights are wired here
   std::vector<StreamConfig> streams;
 };
 
@@ -195,7 +195,6 @@ class StreamServer {
  public:
   explicit StreamServer(StreamServeOptions opt) : opt_(std::move(opt)) {
     CAQR_CHECK(!opt_.streams.empty());
-    opt_.pool.fair_share = true;
     for (const auto& s : opt_.streams) {
       opt_.pool.tenant_weights[s.id] = s.weight;
     }

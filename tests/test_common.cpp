@@ -20,7 +20,6 @@
 #include "common/group_list.hpp"
 #include "common/profile.hpp"
 #include "common/prng.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 
@@ -206,23 +205,6 @@ TEST(Rng, NormalMomentsRoughlyStandard) {
   const double var = sum2 / n - mean * mean;
   EXPECT_NEAR(mean, 0.0, 0.02);
   EXPECT_NEAR(var, 1.0, 0.03);
-}
-
-TEST(RunningStats, MatchesClosedForm) {
-  RunningStats s;
-  for (int i = 1; i <= 5; ++i) s.add(i);
-  EXPECT_EQ(s.count(), 5u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 2.5);  // sample variance of 1..5
-}
-
-TEST(RunningStats, EmptyIsSafe) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
 }
 
 TEST(TextTable, AlignedOutputAndCsv) {
