@@ -227,6 +227,28 @@ TEST(Caqr, FormQCostsAboutAsMuchAsFactoring) {
   EXPECT_LT(t_formq / t_factor, 2.5);
 }
 
+// form_q builds its identity only where data exists: on a ModelOnly device
+// Q is a placeholder, yet the charged launches equal the Functional ones.
+TEST(Caqr, FormQOnModelOnlyIsShapeOnlyWithSameTimeline) {
+  const idx m = 2048, n = 64;
+  const auto a = gaussian_matrix<float>(m, n, 69);
+  Device fdev(GpuMachineModel::c2050(), ExecMode::Functional);
+  Device mdev(GpuMachineModel::c2050(), ExecMode::ModelOnly);
+  const auto ff = CaqrFactorization<float>::factor(fdev, Matrix<float>::from(a.view()));
+  const auto mf =
+      CaqrFactorization<float>::factor(mdev, Matrix<float>::shape_only(m, n));
+  const double f0 = fdev.elapsed_seconds();
+  const double m0 = mdev.elapsed_seconds();
+  const auto fq = ff.form_q(fdev, n);
+  const auto mq = mf.form_q(mdev, n);
+  EXPECT_NE(fq.data(), nullptr);
+  EXPECT_EQ(mq.data(), nullptr);
+  EXPECT_EQ(mq.rows(), m);
+  EXPECT_EQ(mq.cols(), n);
+  EXPECT_GT(mdev.elapsed_seconds() - m0, 0.0);
+  EXPECT_EQ(mdev.elapsed_seconds() - m0, fdev.elapsed_seconds() - f0);
+}
+
 // The factorization's GFLOP/s must not depend on the thread pool driving the
 // functional simulation — simulated time is a pure function of the launches.
 TEST(Caqr, SimulatedTimeIndependentOfHostParallelism) {

@@ -491,6 +491,29 @@ TEST(FtCheckpoint, CheckpointRoundTripPreservesSections) {
   std::remove(path.c_str());
 }
 
+// An empty vector is a valid zero-byte section: it reads back empty (no
+// copy through a null pointer) and the sections after it stay intact.
+TEST(FtCheckpoint, EmptyVectorSectionRoundTrips) {
+  const std::string path = temp_path("ft_ckpt_empty_vec.bin");
+  std::remove(path.c_str());
+
+  ft::CheckpointWriter w;
+  w.vec("none", std::vector<double>{});
+  w.vec("after", std::vector<std::int64_t>{7, -3});
+  ASSERT_TRUE(w.write(path));
+
+  const auto r = ft::CheckpointReader::load(path);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(r->has("none"));
+  std::vector<double> none{1.0, 2.0};  // stale contents must be dropped
+  ASSERT_TRUE(r->vec("none", none));
+  EXPECT_TRUE(none.empty());
+  std::vector<std::int64_t> after;
+  ASSERT_TRUE(r->vec("after", after));
+  EXPECT_EQ(after, (std::vector<std::int64_t>{7, -3}));
+  std::remove(path.c_str());
+}
+
 TEST(FtCheckpoint, RpcaHaltAndResumeBitIdentical) {
   LowRankPlusSparse spec;
   spec.rank = 3;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "caqr/solver.hpp"
 #include "linalg/norms.hpp"
@@ -126,6 +127,78 @@ TEST(AdaptiveQr, PredictionIsDataFree) {
   // of simulated time; the check brackets it.
   EXPECT_GT(t, 60.0);
   EXPECT_LT(t, 3600.0);
+}
+
+// The one Auto predicate: CAQR unless the hybrid is predicted strictly
+// faster, on both sides of the crossover.
+TEST(AdaptiveQr, PickHouseholderMatchesPredictions) {
+  const auto model = GpuMachineModel::c2050();
+  const std::pair<idx, idx> shapes[] = {
+      {100000, 192}, {8192, 8192}, {4096, 64}, {256, 256}, {1024, 1024}};
+  for (const auto& [m, n] : shapes) {
+    const QrAlgorithm expect =
+        predict_caqr_seconds<float>(model, m, n) <=
+                predict_hybrid_seconds<float>(model, m, n)
+            ? QrAlgorithm::Caqr
+            : QrAlgorithm::Hybrid;
+    EXPECT_EQ(pick_householder<float>(model, m, n), expect)
+        << m << "x" << n;
+  }
+  EXPECT_EQ(pick_householder<float>(model, 100000, 192), QrAlgorithm::Caqr);
+  EXPECT_EQ(pick_householder<float>(model, 8192, 8192), QrAlgorithm::Hybrid);
+}
+
+// On a ModelOnly device adaptive_qr takes a storage-free placeholder and
+// returns storage-free factors of the right shapes, whatever it runs.
+TEST(AdaptiveQr, ModelOnlyReturnsShapeOnlyFactors) {
+  const idx m = 4096, n = 64;
+  for (const auto algo : {QrAlgorithm::Caqr, QrAlgorithm::Hybrid,
+                          QrAlgorithm::CholeskyQr2, QrAlgorithm::CholeskyQr3}) {
+    Device dev(GpuMachineModel::c2050(), ExecMode::ModelOnly);
+    const auto a = Matrix<float>::shape_only(m, n);
+    const auto res = adaptive_qr(dev, a.view(), algo);
+    EXPECT_EQ(res.used, algo);
+    EXPECT_EQ(res.q.rows(), m);
+    EXPECT_EQ(res.q.cols(), n);
+    EXPECT_EQ(res.r.rows(), n);
+    EXPECT_EQ(res.r.cols(), n);
+    EXPECT_EQ(res.q.data(), nullptr);
+    EXPECT_EQ(res.r.data(), nullptr);
+    EXPECT_GT(res.simulated_seconds, 0.0);
+    EXPECT_EQ(res.simulated_seconds, dev.elapsed_seconds());
+  }
+}
+
+// A ModelOnly run charges exactly the timeline of the Functional run it
+// stands in for, including Auto's resolution.
+TEST(AdaptiveQr, ModelOnlyTimelineMatchesFunctional) {
+  const idx m = 1024, n = 48;
+  const auto a = gaussian_matrix<float>(m, n, 31);
+  for (const auto algo : {QrAlgorithm::Auto, QrAlgorithm::Caqr,
+                          QrAlgorithm::Hybrid, QrAlgorithm::CholeskyQr2}) {
+    Device fdev(GpuMachineModel::c2050(), ExecMode::Functional);
+    Device mdev(GpuMachineModel::c2050(), ExecMode::ModelOnly);
+    const auto f = adaptive_qr(fdev, a.view(), algo);
+    const auto p = Matrix<float>::shape_only(m, n);
+    const auto mo = adaptive_qr(mdev, p.view(), algo);
+    EXPECT_EQ(mo.used, f.used);
+    EXPECT_EQ(mo.simulated_seconds, f.simulated_seconds);
+    EXPECT_EQ(mdev.elapsed_seconds(), fdev.elapsed_seconds());
+  }
+}
+
+// ModelOnly serves large shapes without their data: the placeholder input
+// is not copied and neither factor is allocated.
+TEST(AdaptiveQr, ModelOnlyRunsOnLargePlaceholder) {
+  const idx m = idx{1} << 20, n = 128;  // 512 MiB of floats if materialized
+  Device dev(GpuMachineModel::c2050(), ExecMode::ModelOnly);
+  const auto a = Matrix<float>::shape_only(m, n);
+  const auto res = adaptive_qr(dev, a.view());
+  EXPECT_EQ(res.used, QrAlgorithm::Caqr);
+  EXPECT_EQ(res.q.rows(), m);
+  EXPECT_EQ(res.q.data(), nullptr);
+  EXPECT_EQ(res.r.data(), nullptr);
+  EXPECT_GT(res.simulated_seconds, 0.0);
 }
 
 TEST(RefinedLeastSquares, ReachesNearDoublePrecisionFromFloatFactor) {
