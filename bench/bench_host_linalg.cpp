@@ -136,6 +136,72 @@ void BM_StackedGeqr2(benchmark::State& state) {
 }
 BENCHMARK(BM_StackedGeqr2)->Arg(2)->Arg(4)->Arg(8);
 
+void BM_StackedApplyQt(benchmark::State& state) {
+  // The apply_qt_tree kernel core: a k-stack of 16-wide triangles applied
+  // to one 16-column trailing tile.
+  const idx w = 16, k = state.range(0), nc = 16;
+  auto stack = Matrix<float>::zeros(k * w, w);
+  Rng rng(11);
+  for (idx b = 0; b < k; ++b) {
+    for (idx j = 0; j < w; ++j) {
+      for (idx i = 0; i <= j; ++i) {
+        stack(b * w + i, j) = static_cast<float>(rng.uniform(-1, 1));
+      }
+    }
+  }
+  std::vector<float> tau(static_cast<std::size_t>(w));
+  std::vector<float> scratch(static_cast<std::size_t>(1 + (k - 1) * w));
+  kernels::stacked_geqr2(stack.view(), w, k, tau.data(), scratch.data());
+  auto c0 = gaussian_matrix<float>(k * w, nc, 12);
+  Matrix<float> c(k * w, nc);
+  for (auto _ : state) {
+    c.view().copy_from(c0.view());
+    kernels::stacked_apply_qt(stack.as_const(), w, k, tau.data(), c.view());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(kernels::stacked_apply_qt_flops(w, k, nc)));
+}
+BENCHMARK(BM_StackedApplyQt)->Arg(2)->Arg(4)->Arg(8);
+
+// CholeskyQR2's two host kernels at the qr_functional request shape: the
+// Gram matrix (syrk_t, m n^2 useful flops counting the upper triangle once
+// per entry pair) and the right-side triangular solve (m n^2 flops).
+void BM_SyrkT(benchmark::State& state) {
+  const idx m = state.range(0), n = state.range(1);
+  auto a = gaussian_matrix<float>(m, n, 13);
+  auto c = Matrix<float>::zeros(n, n);
+  for (auto _ : state) {
+    syrk_t(1.0f, a.view(), 0.0f, c.view());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(m * n * (n + 1)));
+}
+BENCHMARK(BM_SyrkT)->Args({16384, 128})->Unit(benchmark::kMillisecond);
+
+void BM_TrsmRightUpper(benchmark::State& state) {
+  const idx m = state.range(0), n = state.range(1);
+  auto t = Matrix<float>::zeros(n, n);
+  Rng rng(14);
+  for (idx j = 0; j < n; ++j) {
+    for (idx i = 0; i <= j; ++i) {
+      t(i, j) = static_cast<float>(i == j ? rng.uniform(1, 2) : rng.uniform(-0.1, 0.1));
+    }
+  }
+  auto b0 = gaussian_matrix<float>(m, n, 15);
+  Matrix<float> b(m, n);
+  for (auto _ : state) {
+    b.view().copy_from(b0.view());
+    trsm(Side::Right, UpLo::Upper, Trans::No, t.view(), b.view());
+    benchmark::DoNotOptimize(b.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(m * n * n));
+}
+BENCHMARK(BM_TrsmRightUpper)->Args({16384, 128})->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

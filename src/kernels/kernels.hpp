@@ -110,24 +110,10 @@ struct FactorKernel {
   void run_block(idx b) const {
     const idx r0 = (*offsets)[static_cast<std::size_t>(b)];
     const idx r1 = (*offsets)[static_cast<std::size_t>(b) + 1];
-    const idx h = r1 - r0;
     const idx w = panel.cols();
-    auto blk = panel.block(r0, 0, h, w);
-    if (blk.ld() != h) {
-      // Tall-panel block: columns sit a full panel stride apart, so the
-      // factorization's column sweeps thrash cache lines and TLB entries.
-      // Stage the block contiguously (the host-side analogue of the
-      // kernel's fast-memory tile), factor, and copy back. Same scalar
-      // operations on the same values — bit-identical results.
-      ArenaScope scope(Arena::thread_scratch());
-      T* buf = scope.alloc<T>(h * w);
-      MatrixView<T> s(buf, h, w, h);
-      s.copy_from(blk.as_const());
-      block_geqr2(s, taus + b * w);
-      blk.copy_from(s.as_const());
-    } else {
-      block_geqr2(blk, taus + b * w);
-    }
+    // Stages the block row-major in the per-thread arena (the kernel's
+    // fast-memory tile), factors it, and copies it back.
+    block_geqr2(panel.block(r0, 0, r1 - r0, w), taus + b * w);
   }
 
   BlockStats block_stats(idx b) const {
@@ -194,24 +180,18 @@ struct FactorTreeKernel {
     const idx k = static_cast<idx>(rows.size());
     const idx w = panel.cols();
     if (k < 2) return;  // singleton group passes through
-    // Gather the stacked triangles, factor, scatter back in place. The
-    // stack and the combine scratch come from the per-thread arena — same
-    // column-major layout a freshly allocated Matrix would have, so the
-    // arithmetic (and its result bits) are unchanged; every element is
-    // written before it is read.
+    // Gather the stacked triangles straight into a row-major arena tile,
+    // factor, scatter back in place. Every element is written by the
+    // gather before it is read.
     ArenaScope scope(Arena::thread_scratch());
-    T* sbuf = scope.alloc<T>(static_cast<std::size_t>(k * w) *
-                             static_cast<std::size_t>(w));
-    MatrixView<T> stack(sbuf, k * w, w, k * w);
+    const RowTile<T> stack = alloc_tile<T>(scope, k * w, w);
     for (idx b = 0; b < k; ++b) {
-      stack.block(b * w, 0, w, w)
-          .copy_from(panel.as_const().block(rows[static_cast<std::size_t>(b)], 0, w, w));
+      stack.load(b * w, panel.as_const().block(rows[static_cast<std::size_t>(b)], 0, w, w));
     }
     T* scratch = scope.alloc<T>(static_cast<std::size_t>(1 + (k - 1) * w));
     stacked_geqr2(stack, w, k, taus + g * w, scratch);
     for (idx b = 0; b < k; ++b) {
-      panel.block(rows[static_cast<std::size_t>(b)], 0, w, w)
-          .copy_from(stack.as_const().block(b * w, 0, w, w));
+      stack.store(b * w, panel.block(rows[static_cast<std::size_t>(b)], 0, w, w));
     }
   }
 
@@ -287,28 +267,12 @@ struct ApplyQtHKernel {
     const idx w = panel.cols();
     const idx c0 = ct * tile_cols;
     const idx nc = std::min(tile_cols, trailing.cols() - c0);
-    auto v = panel.block(r0, 0, h, w);
-    auto c = trailing.block(r0, c0, h, nc);
-    if (v.ld() != h || c.ld() != h) {
-      // Both operands stride by the full panel height between columns;
-      // the reflector sweep re-reads v for every trailing column, so
-      // stage both contiguously (the fast-memory tile of the simulated
-      // kernel), apply, and copy the tile back. Bit-identical: the same
-      // scalar operations run on the same values in the same order.
-      ArenaScope scope(Arena::thread_scratch());
-      T* vbuf = scope.alloc<T>(h * w);
-      T* cbuf = scope.alloc<T>(h * nc);
-      MatrixView<T> vs(vbuf, h, w, h);
-      MatrixView<T> cs(cbuf, h, nc, h);
-      vs.copy_from(v);
-      cs.copy_from(c.as_const());
-      if (transpose_q) {
-        block_apply_qt(vs.as_const(), taus + rb * w, cs);
-      } else {
-        block_apply_q(vs.as_const(), taus + rb * w, cs);
-      }
-      c.copy_from(cs.as_const());
-    } else if (transpose_q) {
+    const auto v = panel.block(r0, 0, h, w);
+    const auto c = trailing.block(r0, c0, h, nc);
+    // The tile is staged row-major in the per-thread arena (the kernel's
+    // fast-memory tile), updated, and copied back; v is read in place, one
+    // contiguous column per reflector.
+    if (transpose_q) {
       block_apply_qt(v, taus + rb * w, c);
     } else {
       block_apply_q(v, taus + rb * w, c);
@@ -406,22 +370,18 @@ struct ApplyQtTreeKernel {
     const idx c0 = ct * tile_cols;
     const idx nc = std::min(tile_cols, trailing.cols() - c0);
 
-    // Gather the distributed U triangles and trailing row groups into
-    // arena-backed stacks (same layout a fresh Matrix would have — the
-    // combine arithmetic and its result bits are unchanged; every element
-    // is written by the gather before it is read).
+    // Gather the distributed U triangles into a column-major arena stack
+    // and the trailing row groups straight into a row-major arena tile;
+    // every element is written by the gather before it is read.
     ArenaScope scope(Arena::thread_scratch());
     T* ubuf = scope.alloc<T>(static_cast<std::size_t>(k * w) *
                              static_cast<std::size_t>(w));
-    T* cbuf = scope.alloc<T>(static_cast<std::size_t>(k * w) *
-                             static_cast<std::size_t>(nc));
     MatrixView<T> u(ubuf, k * w, w, k * w);
-    MatrixView<T> c(cbuf, k * w, nc, k * w);
+    const RowTile<T> c = alloc_tile<T>(scope, k * w, nc);
     for (idx blk = 0; blk < k; ++blk) {
       const idx r = rows[static_cast<std::size_t>(blk)];
       u.block(blk * w, 0, w, w).copy_from(panel.block(r, 0, w, w));
-      c.block(blk * w, 0, w, nc)
-          .copy_from(trailing.as_const().block(r, c0, w, nc));
+      c.load(blk * w, trailing.as_const().block(r, c0, w, nc));
     }
     if (transpose_q) {
       stacked_apply_qt(u.as_const(), w, k, taus + g * w, c);
@@ -430,7 +390,7 @@ struct ApplyQtTreeKernel {
     }
     for (idx blk = 0; blk < k; ++blk) {
       const idx r = rows[static_cast<std::size_t>(blk)];
-      trailing.block(r, c0, w, nc).copy_from(c.as_const().block(blk * w, 0, w, nc));
+      c.store(blk * w, trailing.block(r, c0, w, nc));
     }
   }
 

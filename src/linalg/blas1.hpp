@@ -26,6 +26,27 @@ T nrm2_squared(idx n, const T* x) {
   return acc;
 }
 
+// x.y, x.x and y.y in one pass over both vectors. Three independent
+// accumulators, each summing in dot()'s order, so every value is
+// bit-identical to the separate dot / nrm2_squared calls.
+template <typename T>
+struct PairGram {
+  T xy;
+  T xx;
+  T yy;
+};
+
+template <typename T>
+PairGram<T> pair_gram(idx n, const T* x, const T* y) {
+  T xy = T(0), xx = T(0), yy = T(0);
+  for (idx i = 0; i < n; ++i) {
+    xy += x[i] * y[i];
+    xx += x[i] * x[i];
+    yy += y[i] * y[i];
+  }
+  return {xy, xx, yy};
+}
+
 // Overflow/underflow-guarded two-norm (scaled accumulation, as in LAPACK's
 // dnrm2). The guard matters for the ill-conditioned test matrices.
 template <typename T>

@@ -74,9 +74,7 @@ SvdResult<view_scalar_t<VA>> jacobi_svd(const VA& a_in, int max_sweeps = 60) {
       for (idx q = p + 1; q < n; ++q) {
         T* wp = w.col(p);
         T* wq = w.col(q);
-        const T apq = dot(m, wp, wq);
-        const T app = nrm2_squared(m, wp);
-        const T aqq = nrm2_squared(m, wq);
+        const auto [apq, app, aqq] = pair_gram(m, wp, wq);
         // Threshold as a product of square roots: app * aqq overflows (or
         // underflows to 0, disabling convergence) for extreme column norms
         // even when the threshold itself is representable.

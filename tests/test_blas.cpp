@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -207,6 +208,96 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, TrsmCase,
                          ::testing::Combine(::testing::Values(0, 1),
                                             ::testing::Values(0, 1),
                                             ::testing::Values(0, 1)));
+
+// ---------------------------------------------------------------------------
+// syrk_t and the right-upper trsm vs their scalar forms. The oracles are the
+// entry-at-a-time implementations (a dot per Gram entry; a row-by-row
+// substitution); the register-blocked kernels must match them byte for
+// byte, across chunk boundaries and ragged block remainders.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+void syrk_t_oracle(T alpha, ConstMatrixView<T> a, T beta, MatrixView<T> c) {
+  const idx n = a.cols();
+  for (idx j = 0; j < n; ++j) {
+    for (idx i = 0; i <= j; ++i) {
+      const T s = dot(a.rows(), a.col(i), a.col(j));
+      const T v = alpha * s + (beta == T(0) ? T(0) : beta * c(i, j));
+      c(i, j) = v;
+      c(j, i) = v;
+    }
+  }
+}
+
+template <typename T>
+void trsm_right_upper_oracle(ConstMatrixView<T> t, MatrixView<T> b,
+                             bool unit_diag) {
+  const idx n = t.rows();
+  for (idx i = 0; i < b.rows(); ++i) {
+    for (idx j = 0; j < n; ++j) {
+      T acc = b(i, j);
+      for (idx p = 0; p < j; ++p) acc -= b(i, p) * t(p, j);
+      b(i, j) = unit_diag ? acc : acc / t(j, j);
+    }
+  }
+}
+
+template <typename T>
+bool same_bytes(const Matrix<T>& a, const Matrix<T>& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (idx j = 0; j < a.cols(); ++j) {
+    if (std::memcmp(a.view().col(j), b.view().col(j),
+                    sizeof(T) * static_cast<std::size_t>(a.rows())) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename T>
+class Blas3Lanes : public ::testing::Test {};
+using Blas3LaneTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(Blas3Lanes, Blas3LaneTypes);
+
+TYPED_TEST(Blas3Lanes, SyrkTMatchesDotPerEntry) {
+  using T = TypeParam;
+  for (const idx n : {1, 3, 4, 7, 8, 9, 17, 33, 64}) {
+    for (const idx m : {0, 1, 5, 100, 700}) {
+      for (const T beta : {T(0), T(0.75)}) {
+        auto a = gaussian_matrix<T>(m, n, 71);
+        auto c = gaussian_matrix<T>(n, n, 73);
+        auto ref = Matrix<T>::from(c.view());
+        syrk_t(T(1.5), a.view(), beta, c.view());
+        syrk_t_oracle(T(1.5), a.view().as_const(), beta, ref.view());
+        EXPECT_TRUE(same_bytes(c, ref))
+            << m << "x" << n << " beta " << static_cast<double>(beta);
+      }
+    }
+  }
+}
+
+TYPED_TEST(Blas3Lanes, TrsmRightUpperMatchesRowByRow) {
+  using T = TypeParam;
+  for (const idx n : {1, 5, 16, 37}) {
+    auto t = Matrix<T>::zeros(n, n);
+    Rng rng(79);
+    for (idx j = 0; j < n; ++j) {
+      for (idx i = 0; i <= j; ++i) {
+        t(i, j) = static_cast<T>(i == j ? rng.uniform(1.0, 2.0)
+                                        : rng.uniform(-0.5, 0.5));
+      }
+    }
+    for (const idx m : {1, 15, 16, 17, 31, 32, 33, 100}) {
+      for (const bool unit : {false, true}) {
+        auto b = gaussian_matrix<T>(m, n, 83);
+        auto ref = Matrix<T>::from(b.view());
+        trsm(Side::Right, UpLo::Upper, Trans::No, t.view(), b.view(), unit);
+        trsm_right_upper_oracle(t.view().as_const(), ref.view(), unit);
+        EXPECT_TRUE(same_bytes(b, ref)) << m << "x" << n << " unit " << unit;
+      }
+    }
+  }
+}
 
 TEST(Blas3, TrmmLeftMatchesGemm) {
   const idx n = 5;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -466,6 +467,317 @@ TEST(StagedKernels, ApplyQtBitIdenticalToUnstagedOnStridedTrailing) {
       }
     }
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Lane kernels vs the per-column scalar form. The oracle below is the
+// column-at-a-time implementation: every reflector updates one trailing
+// column with a single-accumulator dot chain and a separate axpy. The lane
+// kernels must reproduce it byte for byte on every shape, including ragged
+// tile widths around the lane width, blocks shorter than they are wide,
+// zero columns (tau == 0), length-1 reflectors and ill-scaled data.
+// ---------------------------------------------------------------------------
+
+namespace oracle {
+
+template <typename T>
+void apply_reflector_column(idx len, T tau, const T* v_rest, T* col) {
+  T w = col[0];
+  for (idx i = 0; i < len - 1; ++i) w += v_rest[i] * col[i + 1];
+  const T tw = tau * w;
+  col[0] -= tw;
+  for (idx i = 0; i < len - 1; ++i) col[i + 1] -= tw * v_rest[i];
+}
+
+template <typename T>
+void block_geqr2(MatrixView<T> a, T* tau) {
+  const idx m = a.rows(), n = a.cols();
+  const idx kmax = m < n ? m : n;
+  for (idx k = 0; k < kmax; ++k) {
+    T* colk = a.col(k) + k;
+    tau[k] = kernels::fast_make_householder(m - k, colk[0], colk + 1);
+    if (tau[k] == T(0)) continue;
+    for (idx j = k + 1; j < n; ++j) {
+      apply_reflector_column(m - k, tau[k], colk + 1, a.col(j) + k);
+    }
+  }
+}
+
+template <typename T>
+void block_apply(ConstMatrixView<T> v, const T* tau, MatrixView<T> c,
+                 bool transpose) {
+  const idx h = v.rows();
+  const idx w = v.cols() < h ? v.cols() : h;
+  for (idx s = 0; s < w; ++s) {
+    const idx j = transpose ? s : w - 1 - s;
+    if (tau[j] == T(0)) continue;
+    for (idx col = 0; col < c.cols(); ++col) {
+      apply_reflector_column(h - j, tau[j], v.col(j) + j + 1, c.col(col) + j);
+    }
+  }
+}
+
+template <typename T>
+void stacked_geqr2(MatrixView<T> s, idx w, idx k, T* tau, T* scratch) {
+  for (idx j = 0; j < w; ++j) {
+    const idx seg = j + 1;
+    const idx len = 1 + (k - 1) * seg;
+    scratch[0] = s(j, j);
+    for (idx b = 1; b < k; ++b) {
+      for (idx i = 0; i < seg; ++i) scratch[1 + (b - 1) * seg + i] = s(b * w + i, j);
+    }
+    tau[j] = kernels::fast_make_householder(len, scratch[0], scratch + 1);
+    s(j, j) = scratch[0];
+    for (idx b = 1; b < k; ++b) {
+      for (idx i = 0; i < seg; ++i) s(b * w + i, j) = scratch[1 + (b - 1) * seg + i];
+    }
+    if (tau[j] == T(0)) continue;
+    for (idx c = j + 1; c < w; ++c) {
+      T acc = s(j, c);
+      for (idx b = 1; b < k; ++b) {
+        for (idx i = 0; i < seg; ++i) acc += s(b * w + i, j) * s(b * w + i, c);
+      }
+      const T tw = tau[j] * acc;
+      s(j, c) -= tw;
+      for (idx b = 1; b < k; ++b) {
+        for (idx i = 0; i < seg; ++i) s(b * w + i, c) -= tw * s(b * w + i, j);
+      }
+    }
+  }
+}
+
+template <typename T>
+void stacked_apply(ConstMatrixView<T> v, idx w, idx k, const T* tau,
+                   MatrixView<T> c, bool transpose) {
+  for (idx s = 0; s < w; ++s) {
+    const idx j = transpose ? s : w - 1 - s;
+    if (tau[j] == T(0)) continue;
+    const idx seg = j + 1;
+    for (idx col = 0; col < c.cols(); ++col) {
+      T* cc = c.col(col);
+      T acc = cc[j];
+      for (idx b = 1; b < k; ++b) {
+        const T* vb = v.col(j) + b * w;
+        const T* cb = cc + b * w;
+        for (idx i = 0; i < seg; ++i) acc += vb[i] * cb[i];
+      }
+      const T tw = tau[j] * acc;
+      cc[j] -= tw;
+      for (idx b = 1; b < k; ++b) {
+        const T* vb = v.col(j) + b * w;
+        T* cb = cc + b * w;
+        for (idx i = 0; i < seg; ++i) cb[i] -= tw * vb[i];
+      }
+    }
+  }
+}
+
+}  // namespace oracle
+
+template <typename T>
+bool same_bytes(const Matrix<T>& a, const Matrix<T>& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (idx j = 0; j < a.cols(); ++j) {
+    if (std::memcmp(a.view().col(j), b.view().col(j),
+                    sizeof(T) * static_cast<std::size_t>(a.rows())) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), sizeof(T) * a.size()) == 0;
+}
+
+// Gaussian data with zeroed columns (their reflectors get tau == 0) and,
+// for double, the stress sweep's extreme column scalings.
+template <typename T>
+Matrix<T> lane_test_matrix(idx m, idx n, std::uint64_t seed, double scale,
+                           idx zero_col) {
+  auto a = gaussian_matrix<T>(m, n, seed);
+  for (idx j = 0; j < n; ++j) {
+    const double s = j % 3 == 0 ? scale : (j % 3 == 1 ? 1.0 : 1.0 / scale);
+    for (idx i = 0; i < m; ++i) {
+      a(i, j) = j == zero_col ? T(0) : static_cast<T>(static_cast<double>(a(i, j)) * s);
+    }
+  }
+  return a;
+}
+
+template <typename T>
+std::vector<double> lane_test_scales() {
+  if constexpr (std::is_same_v<T, double>) return {1.0, 1e300, 1e-300};
+  return {1.0, 1e30};
+}
+
+constexpr idx kL = kernels::kLanes;
+const idx kTileWidths[] = {1, kL - 1, kL, kL + 1, 2 * kL + 3};
+
+template <typename T>
+class LaneKernels : public ::testing::Test {};
+using LaneTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(LaneKernels, LaneTypes);
+
+// (h, w) blocks: tall, square, h < w, and width around the lane width.
+const BlockShape kLaneBlocks[] = {{64, 16}, {33, 7},  {12, 20}, {5, 1},
+                                  {1, 5},   {17, 17}, {40, kL + 1},
+                                  {70, 2 * kL + 3}, {128, 16}};
+
+TYPED_TEST(LaneKernels, BlockGeqr2MatchesPerColumnForm) {
+  using T = TypeParam;
+  for (const double scale : lane_test_scales<T>()) {
+    for (const auto [h, w] : kLaneBlocks) {
+      for (const idx zero_col : {idx{-1}, idx{0}, w / 2}) {
+        auto a = lane_test_matrix<T>(h, w, 31, scale, zero_col);
+        auto ref = Matrix<T>::from(a.view());
+        std::vector<T> tau(static_cast<std::size_t>(w), T(7));
+        std::vector<T> rtau(tau);
+        kernels::block_geqr2(a.view(), tau.data());
+        oracle::block_geqr2(ref.view(), rtau.data());
+        EXPECT_TRUE(same_bytes(a, ref))
+            << h << "x" << w << " zero col " << zero_col << " scale " << scale;
+        EXPECT_TRUE(same_bytes(tau, rtau)) << h << "x" << w;
+      }
+    }
+  }
+}
+
+TYPED_TEST(LaneKernels, BlockApplyMatchesPerColumnForm) {
+  using T = TypeParam;
+  for (const double scale : lane_test_scales<T>()) {
+    for (const auto [h, w] : kLaneBlocks) {
+      auto v = lane_test_matrix<T>(h, w, 37, scale, w / 2);
+      std::vector<T> tau(static_cast<std::size_t>(w), T(0));
+      kernels::block_geqr2(v.view(), tau.data());
+      // A nonzero tau on the length-1 reflector of a block with h <= w:
+      // the pivot-only update must match as well.
+      if (h <= w) tau[static_cast<std::size_t>(h - 1)] = T(0.5);
+      for (const idx nc : kTileWidths) {
+        for (const bool transpose : {true, false}) {
+          auto c = lane_test_matrix<T>(h, nc, 41, scale, -1);
+          auto ref = Matrix<T>::from(c.view());
+          if (transpose) {
+            kernels::block_apply_qt(v.as_const(), tau.data(), c.view());
+          } else {
+            kernels::block_apply_q(v.as_const(), tau.data(), c.view());
+          }
+          oracle::block_apply(v.as_const(), tau.data(), ref.view(), transpose);
+          EXPECT_TRUE(same_bytes(c, ref))
+              << h << "x" << w << " tile " << nc << " qt " << transpose
+              << " scale " << scale;
+        }
+      }
+    }
+  }
+}
+
+template <typename T>
+Matrix<T> triangle_stack(idx w, idx k, std::uint64_t seed, double scale) {
+  auto s = Matrix<T>::zeros(k * w, w);
+  Rng rng(seed);
+  for (idx b = 0; b < k; ++b) {
+    for (idx j = 0; j < w; ++j) {
+      // Column 1 of every triangle is zero: its reflector has tau == 0.
+      if (j == 1) continue;
+      for (idx i = 0; i <= j; ++i) {
+        s(b * w + i, j) = static_cast<T>(rng.uniform(-1.0, 1.0) * scale);
+      }
+    }
+  }
+  return s;
+}
+
+TYPED_TEST(LaneKernels, StackedGeqr2MatchesPerColumnForm) {
+  using T = TypeParam;
+  for (const double scale : lane_test_scales<T>()) {
+    for (const idx w : kTileWidths) {
+      for (const idx k : {1, 2, 4}) {
+        auto s = triangle_stack<T>(w, k, 43, scale);
+        auto ref = Matrix<T>::from(s.view());
+        std::vector<T> tau(static_cast<std::size_t>(w)), rtau(tau);
+        std::vector<T> scratch(static_cast<std::size_t>(1 + (k - 1) * w));
+        kernels::stacked_geqr2(s.view(), w, k, tau.data(), scratch.data());
+        oracle::stacked_geqr2(ref.view(), w, k, rtau.data(), scratch.data());
+        EXPECT_TRUE(same_bytes(s, ref)) << "w " << w << " k " << k;
+        EXPECT_TRUE(same_bytes(tau, rtau)) << "w " << w << " k " << k;
+      }
+    }
+  }
+}
+
+TYPED_TEST(LaneKernels, StackedApplyMatchesPerColumnForm) {
+  using T = TypeParam;
+  for (const double scale : lane_test_scales<T>()) {
+    for (const idx w : {idx{1}, idx{3}, kL, kL + 1}) {
+      for (const idx k : {1, 2, 4}) {
+        auto s = triangle_stack<T>(w, k, 47, scale);
+        std::vector<T> tau(static_cast<std::size_t>(w));
+        std::vector<T> scratch(static_cast<std::size_t>(1 + (k - 1) * w));
+        kernels::stacked_geqr2(s.view(), w, k, tau.data(), scratch.data());
+        for (const idx nc : kTileWidths) {
+          for (const bool transpose : {true, false}) {
+            auto c = lane_test_matrix<T>(k * w, nc, 53, scale, -1);
+            auto ref = Matrix<T>::from(c.view());
+            if (transpose) {
+              kernels::stacked_apply_qt(s.as_const(), w, k, tau.data(), c.view());
+            } else {
+              kernels::stacked_apply_q(s.as_const(), w, k, tau.data(), c.view());
+            }
+            oracle::stacked_apply(s.as_const(), w, k, tau.data(), ref.view(),
+                                  transpose);
+            EXPECT_TRUE(same_bytes(c, ref))
+                << "w " << w << " k " << k << " tile " << nc << " qt "
+                << transpose;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The tree kernels gather their operands straight into row tiles; their
+// results must equal the oracle on the gathered stacks.
+TEST(LaneTreeKernels, MatchPerColumnForm) {
+  const idx w = 8, nc = kL + 3;
+  const idx m = 4 * w;
+  auto panel = Matrix<float>::zeros(m, w);
+  Rng rng(59);
+  for (idx b = 0; b < 4; ++b) {
+    for (idx j = 0; j < w; ++j) {
+      for (idx i = 0; i < w; ++i) {
+        panel(b * w + i, j) = static_cast<float>(rng.uniform(-1.0, 1.0));
+      }
+    }
+  }
+  auto trailing = gaussian_matrix<float>(m, nc, 61);
+  // One group of four triangles at panel rows 0, w, 2w, 3w.
+  GroupList groups;
+  const std::vector<idx> members = {0, w, 2 * w, 3 * w};
+  groups.push_group(members.begin(), members.end());
+
+  // Oracle: gather, run the per-column forms, compare after the kernels.
+  auto stack = Matrix<float>::from(panel.view());
+  auto cref = Matrix<float>::from(trailing.view());
+  std::vector<float> rtau(static_cast<std::size_t>(w));
+  std::vector<float> scratch(static_cast<std::size_t>(1 + 3 * w));
+  oracle::stacked_geqr2(stack.view(), w, 4, rtau.data(), scratch.data());
+  oracle::stacked_apply(stack.as_const(), w, 4, rtau.data(), cref.view(), true);
+
+  const auto cost =
+      kernels::cost_params(kernels::ReductionVariant::RegisterSerialTransposed);
+  std::vector<float> tau(static_cast<std::size_t>(w));
+  kernels::FactorTreeKernel<float> ft{panel.view(), &groups, tau.data(), cost};
+  ft.run_block(0);
+  kernels::ApplyQtTreeKernel<float> at{panel.as_const(), &groups, tau.data(),
+                                       trailing.view(), 8, cost};
+  for (idx b = 0; b < at.num_blocks(); ++b) at.run_block(b);
+  EXPECT_TRUE(same_bytes(panel, stack));
+  EXPECT_TRUE(same_bytes(tau, rtau));
+  EXPECT_TRUE(same_bytes(trailing, cref));
 }
 
 }  // namespace

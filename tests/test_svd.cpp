@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "linalg/norms.hpp"
@@ -139,6 +140,31 @@ TEST(JacobiSvd, NuclearNormMatchesTrace) {
   for (idx i = 0; i < 6; ++i) trace += c(i, i);
   for (const double s : f.sigma) nuc += s;
   EXPECT_NEAR(nuc, trace, 1e-10 * trace);
+}
+
+
+// jacobi_svd reads each column pair's Gram entries from one fused pass; each
+// of its three accumulators must equal the separate dot / nrm2_squared
+// result bit for bit.
+TEST(JacobiSvd, FusedPairGramMatchesSeparatePasses) {
+  for (const idx m : {0, 1, 2, 3, 7, 16, 33, 100, 101}) {
+    auto a = gaussian_matrix<double>(m, 2, 89);
+    auto f = gaussian_matrix<float>(m, 2, 97);
+    const auto gd = pair_gram(m, a.view().col(0), a.view().col(1));
+    const double dxy = dot(m, a.view().col(0), a.view().col(1));
+    const double dxx = nrm2_squared(m, a.view().col(0));
+    const double dyy = nrm2_squared(m, a.view().col(1));
+    EXPECT_EQ(std::memcmp(&gd.xy, &dxy, sizeof(double)), 0) << m;
+    EXPECT_EQ(std::memcmp(&gd.xx, &dxx, sizeof(double)), 0) << m;
+    EXPECT_EQ(std::memcmp(&gd.yy, &dyy, sizeof(double)), 0) << m;
+    const auto gf = pair_gram(m, f.view().col(0), f.view().col(1));
+    const float fxy = dot(m, f.view().col(0), f.view().col(1));
+    const float fxx = nrm2_squared(m, f.view().col(0));
+    const float fyy = nrm2_squared(m, f.view().col(1));
+    EXPECT_EQ(std::memcmp(&gf.xy, &fxy, sizeof(float)), 0) << m;
+    EXPECT_EQ(std::memcmp(&gf.xx, &fxx, sizeof(float)), 0) << m;
+    EXPECT_EQ(std::memcmp(&gf.yy, &fyy, sizeof(float)), 0) << m;
+  }
 }
 
 }  // namespace
