@@ -36,6 +36,11 @@
 // so Q^T / Q can be applied to arbitrary right-hand sides and the explicit Q
 // can be formed — all through the same simulated kernels (the paper notes
 // SORGQR via CAQR is as efficient as the factorization itself).
+//
+// The Serial panel loop and the Q walk run over k same-shape
+// factorizations (one FusedKernel per launch for k > 1): solo runs use
+// k = 1, batched serving uses factor_batch/form_q_batch. LookAhead is
+// solo-only.
 
 // Fault tolerance and checkpoint/restart. factor() aggregates the
 // ft::Severity of every launch (plus TSQR's panel-level recovery) into a
@@ -53,10 +58,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/small_vec.hpp"
 #include "ft/checkpoint.hpp"
 #include "ft/ft.hpp"
 #include "gpusim/device.hpp"
@@ -105,16 +112,9 @@ class CaqrFactorization {
   static CaqrFactorization factor(gpusim::Device& dev, Matrix<T> a,
                                   const CaqrOptions& opt = {}) {
     CaqrFactorization f;
-    f.a_ = std::move(a);
-    f.opt_ = opt;
-    CAQR_CHECK(f.a_.rows() >= 0 && f.a_.cols() >= 0);
-    CAQR_CHECK(opt.panel_width >= 1);
-    CAQR_CHECK(opt.tsqr.block_rows >= opt.panel_width);
+    f.adopt(dev, std::move(a), opt);
     if (std::min(f.a_.rows(), f.a_.cols()) == 0) return f;
     const bool functional = dev.mode() == gpusim::ExecMode::Functional;
-    if (functional) {
-      CAQR_GUARD_FINITE(f.a_.view(), "caqr_factor:input");
-    }
 
     idx first = 0;
     if (functional && !opt.checkpoint_path.empty()) first = f.try_resume();
@@ -134,7 +134,7 @@ class CaqrFactorization {
     if (opt.schedule == CaqrSchedule::LookAhead) {
       factor_lookahead(dev, f, first);
     } else {
-      factor_serial(dev, f, first);
+      factor_serial(dev, {&f, 1}, first);
     }
     if (keep_original && !f.halted_ &&
         f.status_.severity == ft::Severity::Unrecovered) {
@@ -145,7 +145,7 @@ class CaqrFactorization {
       f.panels_ = std::move(original_panels);
       f.status_.severity = ft::Severity::Ok;
       f.status_.schedule_fallback = true;
-      factor_serial(dev, f, first);
+      factor_serial(dev, {&f, 1}, first);
       if (f.status_.severity == ft::Severity::Ok) {
         f.status_.severity = ft::Severity::Corrected;
       }
@@ -157,10 +157,7 @@ class CaqrFactorization {
     f.status_.unrecovered_launches =
         after.unrecovered_launches - before.unrecovered_launches;
 
-    if (functional && !f.halted_ &&
-        f.status_.severity != ft::Severity::Unrecovered) {
-      CAQR_GUARD_FINITE(f.a_.view(), "caqr_factor:output");
-    }
+    f.guard_output(dev);
     return f;
   }
 
@@ -184,12 +181,12 @@ class CaqrFactorization {
 
   // c := Q^T c (c has m rows).
   void apply_qt(gpusim::Device& dev, MatrixView<T> c) const {
-    walk(dev, c, /*transpose_q=*/true);
+    walk(dev, {this, 1}, {&c, 1}, /*transpose_q=*/true);
   }
 
   // c := Q c.
   void apply_q(gpusim::Device& dev, MatrixView<T> c) const {
-    walk(dev, c, /*transpose_q=*/false);
+    walk(dev, {this, 1}, {&c, 1}, /*transpose_q=*/false);
   }
 
   // Explicit m x qcols orthogonal factor (SORGQR equivalent); qcols == 0
@@ -197,43 +194,117 @@ class CaqrFactorization {
   // placeholder: the identity costs nothing on the timeline, so only the
   // apply_q walk is charged.
   Matrix<T> form_q(gpusim::Device& dev, idx qcols) const {
-    CAQR_CHECK(qcols >= 0 && qcols <= a_.rows());
-    Matrix<T> q = dev.mode() == gpusim::ExecMode::Functional
-                      ? Matrix<T>::identity(a_.rows(), qcols)
-                      : Matrix<T>::shape_only(a_.rows(), qcols);
+    Matrix<T> q = q_start(dev, qcols);
     apply_q(dev, q.view());
     return q;
   }
 
+  // Factors k same-shape matrices (consumed) with one Serial panel loop
+  // whose launches span all k; each result is bit-identical to a solo
+  // factor(). The schedule (the fused grid already exposes the parallelism
+  // look-ahead would), checkpoint_path and halt_after_panels are ignored.
+  static std::vector<CaqrFactorization> factor_batch(
+      gpusim::Device& dev, std::vector<Matrix<T>> as,
+      const CaqrOptions& opt = {}) {
+    CAQR_CHECK(!as.empty());
+    const idx m = as.front().rows(), n = as.front().cols();
+    CaqrOptions serial = opt;
+    serial.schedule = CaqrSchedule::Serial;
+    serial.checkpoint_path.clear();
+    serial.halt_after_panels = 0;
+    std::vector<CaqrFactorization> fs(as.size());
+    for (std::size_t i = 0; i < as.size(); ++i) {
+      CAQR_CHECK_MSG(as[i].rows() == m && as[i].cols() == n,
+                     "factor_batch requires same-shape problems");
+      fs[i].adopt(dev, std::move(as[i]), serial);
+    }
+    factor_serial(dev, fs, 0);
+    for (const auto& f : fs) f.guard_output(dev);
+    return fs;
+  }
+
+  // Explicit m x qcols Q of each of k same-shape factorizations, formed by
+  // ONE Q walk whose launches span all k (k = 1: exactly form_q).
+  static std::vector<Matrix<T>> form_q_batch(
+      gpusim::Device& dev, std::span<const CaqrFactorization> fs, idx qcols) {
+    std::vector<Matrix<T>> qs;
+    std::vector<MatrixView<T>> cs;
+    qs.reserve(fs.size());
+    for (const auto& f : fs) {
+      qs.push_back(f.q_start(dev, qcols));
+      cs.push_back(qs.back().view());
+    }
+    walk(dev, fs, cs, /*transpose_q=*/false);
+    return qs;
+  }
+
  private:
-  // Figure 4's host pseudocode: every launch on the (synchronous) legacy
-  // stream. `first_panel` > 0 resumes mid-factorization (checkpoint).
-  static void factor_serial(gpusim::Device& dev, CaqrFactorization& f,
+  // Takes ownership of `a` with options `opt`, validates both, and guards
+  // the input's finiteness (Functional mode).
+  void adopt(const gpusim::Device& dev, Matrix<T> a, const CaqrOptions& opt) {
+    a_ = std::move(a);
+    opt_ = opt;
+    CAQR_CHECK(a_.rows() >= 0 && a_.cols() >= 0);
+    CAQR_CHECK(opt.panel_width >= 1);
+    CAQR_CHECK(opt.tsqr.block_rows >= opt.panel_width);
+    if (dev.mode() == gpusim::ExecMode::Functional) {
+      CAQR_GUARD_FINITE(a_.view(), "caqr_factor:input");
+    }
+  }
+
+  void guard_output(const gpusim::Device& dev) const {
+    if (dev.mode() == gpusim::ExecMode::Functional && !halted_ &&
+        status_.severity != ft::Severity::Unrecovered) {
+      CAQR_GUARD_FINITE(a_.view(), "caqr_factor:output");
+    }
+  }
+
+  // The m x qcols identity a Q walk starts from; shape-only on a ModelOnly
+  // device.
+  Matrix<T> q_start(const gpusim::Device& dev, idx qcols) const {
+    CAQR_CHECK(qcols >= 0 && qcols <= a_.rows());
+    return dev.mode() == gpusim::ExecMode::Functional
+               ? Matrix<T>::identity(a_.rows(), qcols)
+               : Matrix<T>::shape_only(a_.rows(), qcols);
+  }
+
+  // Figure 4's host pseudocode over k same-shape factorizations, every
+  // launch on the (synchronous) legacy stream. `first_panel` > 0 resumes
+  // mid-factorization (checkpoint). The view lists hold one entry inline,
+  // so a solo run allocates nothing for them.
+  static void factor_serial(gpusim::Device& dev,
+                            std::span<CaqrFactorization> fs,
                             idx first_panel) {
-    const CaqrOptions& opt = f.opt_;
+    CaqrFactorization& lead = fs.front();
+    const CaqrOptions& opt = lead.opt_;
     const tsqr::TsqrOptions topt = opt.panel_tsqr();
-    const idx m = f.a_.rows(), n = f.a_.cols();
+    const idx m = lead.a_.rows(), n = lead.a_.cols();
     const idx kmax = m < n ? m : n;
     ft::Severity sev = ft::Severity::Ok;
-    idx done = first_panel;
-    for (idx c0 = first_panel * opt.panel_width; c0 < kmax;
-         c0 += opt.panel_width) {
+    SmallVec<MatrixView<T>, 1> panels, trailing;
+    SmallVec<tsqr::PanelFactor<T>*, 1> pfs;
+    for (idx p = first_panel; p * opt.panel_width < kmax; ++p) {
+      const idx c0 = p * opt.panel_width;
       const idx w = std::min(opt.panel_width, kmax - c0);
-      const idx len = m - c0;
-      auto panel = f.a_.block(c0, c0, len, w);
-      f.panels_.push_back(tsqr_factor(dev, gpusim::kDefaultStream, panel,
-                                      topt, &sev, &f.status_.panel_retries));
-      const idx trailing_cols = n - c0 - w;
-      if (trailing_cols > 0) {
-        tsqr_apply_qt(dev, gpusim::kDefaultStream, panel.as_const(),
-                      f.panels_.back(),
-                      f.a_.block(c0, c0 + w, len, trailing_cols), topt, &sev);
+      panels.clear();
+      trailing.clear();
+      pfs.clear();
+      for (CaqrFactorization& f : fs) {
+        panels.push_back(f.a_.block(c0, c0, m - c0, w));
+        trailing.push_back(f.a_.block(0, c0 + w, m, n - c0 - w));
+        pfs.push_back(&f.panels_.emplace_back());
       }
-      ++done;
-      f.after_panel(dev, done);
-      if (f.halted_) break;
+      tsqr::tsqr_factor_batch<T>(dev, gpusim::kDefaultStream, panels, pfs,
+                                 topt, &sev, &lead.status_.panel_retries);
+      if (n - c0 - w > 0) {
+        apply_panel(dev, fs, trailing, topt, p, /*transpose_q=*/true, &sev);
+      }
+      for (CaqrFactorization& f : fs) f.after_panel(dev, p + 1);
+      if (lead.halted_) break;
     }
-    f.status_.severity = ft::worse(f.status_.severity, sev);
+    for (CaqrFactorization& f : fs) {
+      f.status_.severity = ft::worse(f.status_.severity, sev);
+    }
   }
 
   // Two-stream look-ahead schedule. Dependency structure per panel p:
@@ -306,30 +377,39 @@ class CaqrFactorization {
     f.status_.severity = ft::worse(f.status_.severity, sev);
   }
 
-  void walk(gpusim::Device& dev, MatrixView<T> c, bool transpose_q) const {
-    CAQR_CHECK(c.rows() == a_.rows());
-    if (c.cols() == 0) return;
-    const tsqr::TsqrOptions topt = opt_.panel_tsqr();
-    const idx np = static_cast<idx>(panels_.size());
-    auto panel_view = [&](idx p, idx& c0) {
-      c0 = p * opt_.panel_width;
-      const auto& meta = panels_[static_cast<std::size_t>(p)];
-      return a_.view().block(c0, c0, meta.rows, meta.width);
-    };
-    if (transpose_q) {
-      for (idx p = 0; p < np; ++p) {
-        idx c0 = 0;
-        auto pv = panel_view(p, c0);
-        tsqr_apply_qt(dev, pv, panels_[static_cast<std::size_t>(p)],
-                      c.block(c0, 0, pv.rows(), c.cols()), topt);
-      }
-    } else {
-      for (idx p = np - 1; p >= 0; --p) {
-        idx c0 = 0;
-        auto pv = panel_view(p, c0);
-        tsqr_apply_q(dev, pv, panels_[static_cast<std::size_t>(p)],
-                     c.block(c0, 0, pv.rows(), c.cols()), topt);
-      }
+  // Applies Q^T or Q of panel p of each factorization to its m-row
+  // target cs[i], one launch sequence for all k.
+  static void apply_panel(gpusim::Device& dev,
+                          std::span<const CaqrFactorization> fs,
+                          std::span<const MatrixView<T>> cs,
+                          const tsqr::TsqrOptions& topt, idx p,
+                          bool transpose_q, ft::Severity* sev = nullptr) {
+    const idx c0 = p * fs.front().opt_.panel_width;
+    const auto& shape = fs.front().panels_[static_cast<std::size_t>(p)];
+    SmallVec<ConstMatrixView<T>, 1> panels;
+    SmallVec<const tsqr::PanelFactor<T>*, 1> pfs;
+    SmallVec<MatrixView<T>, 1> targets;
+    for (std::size_t i = 0; i < fs.size(); ++i) {
+      panels.push_back(fs[i].a_.view().block(c0, c0, shape.rows, shape.width));
+      pfs.push_back(&fs[i].panels_[static_cast<std::size_t>(p)]);
+      targets.push_back(cs[i].block(c0, 0, shape.rows, cs[i].cols()));
+    }
+    tsqr::tsqr_apply_batch<T>(dev, gpusim::kDefaultStream, panels, pfs,
+                              targets, topt, transpose_q, sev);
+  }
+
+  // Applies Q^T (panels forward) or Q (in reverse, the SORGQR walk) of
+  // each factorization to its m-row target cs[i].
+  static void walk(gpusim::Device& dev, std::span<const CaqrFactorization> fs,
+                   std::span<const MatrixView<T>> cs, bool transpose_q) {
+    CAQR_CHECK(cs.size() == fs.size());
+    for (const auto& c : cs) CAQR_CHECK(c.rows() == fs.front().a_.rows());
+    if (cs.front().cols() == 0) return;
+    const tsqr::TsqrOptions topt = fs.front().opt_.panel_tsqr();
+    const idx np = static_cast<idx>(fs.front().panels_.size());
+    for (idx i = 0; i < np; ++i) {
+      apply_panel(dev, fs, cs, topt, transpose_q ? i : np - 1 - i,
+                  transpose_q);
     }
   }
 
