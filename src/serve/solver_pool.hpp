@@ -21,6 +21,9 @@
 //   * Bounded with backpressure. `submit` blocks while the queue is at the
 //     high-water mark (PoolOptions::queue_capacity); `try_submit` instead
 //     returns an already-satisfied RequestStatus::Rejected response.
+//   * Malformed batches are refused at admission: `submit_batch` with no
+//     problems or with mixed shapes is answered RequestStatus::Invalid
+//     without being queued.
 //   * Weighted fair share: dispatch is deficit round-robin (DRR) across
 //     RequestOptions::tenant. Each scheduler visit credits a tenant's
 //     deficit by its weight; the tenant serves one request when the deficit
@@ -65,6 +68,7 @@
 // std::future. The pool itself must outlive every future's consumer... it
 // owns the workers that fulfil them.
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -91,6 +95,8 @@ enum class RequestStatus {
   Rejected,         // never queued (backpressure or pool shutting down)
   DeadlineExpired,  // queued past its deadline; never ran
   Shed,             // refused by overload protection (see PoolOptions)
+  Invalid,          // malformed request (e.g. an empty or mixed-shape
+                    // batch); never queued
 };
 
 inline const char* request_status_name(RequestStatus s) {
@@ -99,6 +105,7 @@ inline const char* request_status_name(RequestStatus s) {
     case RequestStatus::Rejected: return "rejected";
     case RequestStatus::DeadlineExpired: return "deadline_expired";
     case RequestStatus::Shed: return "shed";
+    case RequestStatus::Invalid: return "invalid";
   }
   return "?";
 }
@@ -281,9 +288,20 @@ class SolverPool {
   // Submits k same-shape problems as ONE queue entry served by one fused
   // factor_batch schedule on a single worker (see serve/batch.hpp). Blocks
   // while the queue is full. Auto resolves through planning like submit.
+  // An empty or mixed-shape batch is answered Invalid at once, never queued.
   template <typename T>
   std::future<BatchResponse<T>> submit_batch(std::vector<Matrix<T>> problems,
                                              const RequestOptions& req = {}) {
+    const auto like_first = [&](const Matrix<T>& a) {
+      return a.rows() == problems.front().rows() &&
+             a.cols() == problems.front().cols();
+    };
+    if (problems.empty() ||
+        !std::all_of(problems.begin(), problems.end(), like_first)) {
+      std::promise<BatchResponse<T>> invalid;
+      invalid.set_value(terminal<BatchResponse<T>>(RequestStatus::Invalid));
+      return invalid.get_future();
+    }
     auto probs = std::make_shared<std::vector<Matrix<T>>>(std::move(problems));
     return admit<BatchResponse<T>>(
         req, /*blocking=*/true,
@@ -473,7 +491,6 @@ class SolverPool {
   BatchResponse<T> run_batch(gpusim::Device& dev,
                              std::vector<Matrix<T>>& problems,
                              const RequestOptions& req) {
-    CAQR_CHECK(!problems.empty());
     BatchResponse<T> resp;
     const Plan plan = resolve_plan<T>(problems.front().rows(),
                                       problems.front().cols(), req, resp);

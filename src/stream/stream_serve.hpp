@@ -251,7 +251,9 @@ class StreamServer {
         case serve::RequestStatus::Done: ++res.done; break;
         case serve::RequestStatus::DeadlineExpired: ++res.expired; break;
         case serve::RequestStatus::Shed: ++res.shed; break;
-        case serve::RequestStatus::Rejected: ++res.rejected; break;
+        // Never queued, like a rejection (frame tasks are never Invalid).
+        case serve::RequestStatus::Rejected:
+        case serve::RequestStatus::Invalid: ++res.rejected; break;
       }
     }
     for (const double s : last_frame_sim_) {
