@@ -23,11 +23,18 @@
 // dumped per request. This is the flatline's postmortem data: planning vs
 // metadata construction vs cost accounting vs lock waits.
 //
+// The 4-worker vs 1-worker wall gate is decided apart from the sweep, whose
+// windows last only milliseconds: kWallTrials alternating 1-worker/4-worker
+// trials each time a warm pool over at least kTrialWindowSeconds, and the
+// gate reads the median trial ratio.
+//
 // Writes BENCH_serve_throughput.json + BENCH_serve_profile.json. Flags:
 // --rows --cols --problems --quick
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,6 +48,11 @@ namespace {
 using namespace caqr;
 using namespace caqr::serve;
 using gpusim::ExecMode;
+
+constexpr int kWallTrials = 5;
+constexpr double kTrialWindowSeconds = 0.2;
+// Requests kept in flight during a timed window, for either worker count.
+constexpr int kInFlight = 16;
 
 double wall_seconds() {
   using clock = std::chrono::steady_clock;
@@ -119,6 +131,46 @@ Cell run_config(idx m, idx n, int problems, int workers, int batch,
   c.misses = pool.plan_cache().misses();
   return c;
 }
+
+// Host requests/sec of a warm, cache-on `workers`-worker pool: kInFlight
+// requests stay queued, each completion is replaced until the window has
+// lasted kTrialWindowSeconds, and the window closes at the last completion.
+// One warmup round first absorbs the plan miss and device construction.
+double steady_state_pps(idx m, idx n, int workers) {
+  PoolOptions po;
+  po.workers = workers;
+  po.queue_capacity = kInFlight + 8;
+  po.mode = ExecMode::ModelOnly;
+  SolverPool pool(po);
+  RequestOptions req;
+  std::deque<std::future<QrResponse<float>>> futs;
+  auto submit = [&] {
+    futs.push_back(pool.submit(Matrix<float>::shape_only(m, n), req));
+  };
+  auto finish = [&] {
+    if (futs.front().get().status != RequestStatus::Done) std::abort();
+    futs.pop_front();
+  };
+
+  for (int i = 0; i < kInFlight; ++i) submit();
+  while (!futs.empty()) finish();
+
+  long long done = 0;
+  const double t0 = wall_seconds();
+  for (int i = 0; i < kInFlight; ++i) submit();
+  while (!futs.empty()) {
+    finish();
+    ++done;
+    if (wall_seconds() - t0 < kTrialWindowSeconds) submit();
+  }
+  return static_cast<double>(done) / (wall_seconds() - t0);
+}
+
+struct WallTrial {
+  double pps_1 = 0;
+  double pps_4 = 0;
+  double ratio() const { return pps_4 / pps_1; }
+};
 
 // Steady-state profile window: warm a cache-on pool up, zero the profiling
 // registry AND the process-wide allocation counters, run `measured` more
@@ -243,12 +295,12 @@ int main(int argc, char** argv) {
     }
     std::abort();
   };
-  // Simulated AND wall scaling, both reported explicitly: the old single
+  // Simulated and wall scaling, both reported explicitly: the old single
   // `scaling_8_vs_1_workers` key was computed from simulated time only and
   // silently masked a wall-clock regression (8 workers slower than 1).
   const double sim_scaling_8v1 =
       find(8, 1, true).sim_pps() / find(1, 1, true).sim_pps();
-  const double wall_scaling_4v1 =
+  const double sweep_wall_scaling_4v1 =
       find(4, 1, true).wall_pps() / find(1, 1, true).wall_pps();
   const double wall_scaling_8v4 =
       find(8, 1, true).wall_pps() / find(4, 1, true).wall_pps();
@@ -260,20 +312,43 @@ int main(int argc, char** argv) {
       find(4, 1, true).sim_per_problem() / find(4, 8, true).sim_per_problem();
   const double wall_batch_gain =
       find(4, 4, true).wall_pps() / find(4, 1, true).wall_pps();
-  // Two ratios are reported but not gated: with a short request stream the
-  // 8-vs-1 simulated scaling depends on which workers wake before the first
-  // one drains the queue, and the plan-cache on/off ratio is a wall-clock
-  // ratio that moves with host load. The batch gain compares simulated
-  // seconds per problem, which are deterministic, so it is gated.
+
+  std::printf("\nWall scaling trials (%d x %.0f ms windows, %d in flight):\n",
+              kWallTrials, kTrialWindowSeconds * 1e3, kInFlight);
+  std::vector<WallTrial> trials;
+  std::vector<double> ratios;
+  for (int t = 0; t < kWallTrials; ++t) {
+    WallTrial w;
+    w.pps_1 = steady_state_pps(m, n, 1);
+    w.pps_4 = steady_state_pps(m, n, 4);
+    trials.push_back(w);
+    ratios.push_back(w.ratio());
+    std::printf("  trial %d: 1 worker %9.1f problems/s, 4 workers %9.1f "
+                "problems/s, ratio %.3f\n",
+                t, w.pps_1, w.pps_4, w.ratio());
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const double wall_median = ratios[ratios.size() / 2];
+  const double wall_min = ratios.front();
+  const double wall_max = ratios.back();
+
+  // Only the batch gain and the median trial ratio are gated. The batch
+  // gain compares simulated seconds per problem, which are deterministic.
+  // The rest are reported: with a short request stream the 8-vs-1
+  // simulated scaling depends on which workers wake before the first one
+  // drains the queue, and the sweep's wall ratios come from windows of a
+  // few milliseconds that move with host load.
   std::printf(
       "\n8-worker vs 1-worker simulated scaling:   %.2fx\n"
-      "4-worker vs 1-worker WALL scaling:        %.2fx (acceptance: >= 1)\n"
+      "4-worker vs 1-worker WALL scaling:        %.2fx median (min %.2fx, "
+      "max %.2fx; acceptance: median >= 1)\n"
+      "4-worker vs 1-worker sweep WALL scaling:  %.2fx\n"
       "8-worker vs 4-worker WALL scaling:        %.2fx\n"
       "plan-cache on vs off host throughput:     %.2fx\n"
       "batch=8 vs unbatched sim s/problem gain:  %.3fx (acceptance: > 1)\n"
       "batch=4 vs unbatched WALL throughput:     %.3fx\n",
-      sim_scaling_8v1, wall_scaling_4v1, wall_scaling_8v4, cache_gain,
-      batch_gain, wall_batch_gain);
+      sim_scaling_8v1, wall_median, wall_min, wall_max, sweep_wall_scaling_4v1,
+      wall_scaling_8v4, cache_gain, batch_gain, wall_batch_gain);
 
   std::string json = "{\"shape\":{";
   char buf[512];
@@ -300,18 +375,31 @@ int main(int argc, char** argv) {
   }
   const unsigned hw_threads = std::thread::hardware_concurrency();
   std::snprintf(buf, sizeof(buf),
-                "],\"acceptance\":{\"wall_scaling_4_vs_1_workers\":%.3f,"
-                "\"wall_scaling_8_vs_4_workers\":%.3f,"
-                "\"batch8_vs_unbatched\":%.3f,"
-                "\"wall_batch4_vs_unbatched\":%.3f,"
-                "\"hardware_threads\":%u,"
-                "\"wall_gate_enforced\":%s},"
+                "],\"acceptance\":{\"batch8_vs_unbatched\":%.3f,"
+                "\"wall_scaling_4_vs_1_workers\":{\"median\":%.3f,"
+                "\"min\":%.3f,\"max\":%.3f,\"window_seconds\":%.3f,"
+                "\"in_flight\":%d,\"trials\":[",
+                batch_gain, wall_median, wall_min, wall_max,
+                kTrialWindowSeconds, kInFlight);
+  json += buf;
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"w1_problems_per_sec\":%.1f,"
+                  "\"w4_problems_per_sec\":%.1f,\"ratio\":%.3f}",
+                  i ? "," : "", trials[i].pps_1, trials[i].pps_4,
+                  trials[i].ratio());
+    json += buf;
+  }
+  std::snprintf(buf, sizeof(buf),
+                "]},\"hardware_threads\":%u,\"wall_gate_enforced\":%s},"
                 "\"report\":{\"sim_scaling_8_vs_1_workers\":%.3f,"
-                "\"plan_cache_on_vs_off\":%.3f}}",
-                wall_scaling_4v1, wall_scaling_8v4, batch_gain,
-                wall_batch_gain, hw_threads,
-                hw_threads >= 4 ? "true" : "false", sim_scaling_8v1,
-                cache_gain);
+                "\"plan_cache_on_vs_off\":%.3f,"
+                "\"sweep_wall_scaling_4_vs_1_workers\":%.3f,"
+                "\"wall_scaling_8_vs_4_workers\":%.3f,"
+                "\"wall_batch4_vs_unbatched\":%.3f}}",
+                hw_threads, hw_threads >= 4 ? "true" : "false",
+                sim_scaling_8v1, cache_gain, sweep_wall_scaling_4v1,
+                wall_scaling_8v4, wall_batch_gain);
   json += buf;
 
   const char* json_path = "BENCH_serve_throughput.json";
@@ -340,23 +428,22 @@ int main(int argc, char** argv) {
         batch_gain);
     return 1;
   }
-  // Wall scaling at 4 workers below 1.0 means adding workers LOSES wall
-  // throughput — the regression this bench exists to catch. Only enforce
-  // where 4 workers can actually run in parallel: on fewer cores the host
-  // work is serialized by the machine, not by the code under test.
-  const unsigned cores = hw_threads;
-  if (wall_scaling_4v1 < 1.0) {
-    if (cores >= 4) {
+  // A median wall scaling at 4 workers below 1.0 means adding workers LOSES
+  // wall throughput — the regression this bench exists to catch. Only
+  // enforce where 4 workers can actually run in parallel: on fewer cores
+  // the host work is serialized by the machine, not by the code under test.
+  if (wall_median < 1.0) {
+    if (hw_threads >= 4) {
       std::printf(
-          "\nFAIL: wall scaling at 4 workers is %.3fx (< 1.0): multi-worker "
-          "serving is a wall-clock regression.\n",
-          wall_scaling_4v1);
+          "\nFAIL: median wall scaling at 4 workers is %.3fx (< 1.0): "
+          "multi-worker serving is a wall-clock regression.\n",
+          wall_median);
       return 1;
     }
     std::printf(
-        "\nNOTE: wall scaling at 4 workers is %.3fx on %u hardware thread(s); "
-        "not enforced below 4 cores.\n",
-        wall_scaling_4v1, cores);
+        "\nNOTE: median wall scaling at 4 workers is %.3fx on %u hardware "
+        "thread(s); not enforced below 4 cores.\n",
+        wall_median, hw_threads);
   }
   return 0;
 }

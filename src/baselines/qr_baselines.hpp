@@ -4,7 +4,7 @@
 //
 //   * HybridQR    (MAGMA-like)  — panel factored on the host CPU (BLAS2,
 //     bandwidth-bound), PCIe transfer each way, trailing update as GPU GEMM,
-//     optional look-ahead overlap of the next panel with the current update.
+//     look-ahead overlap of the next panel with the current update.
 //   * GpuBlas2QR  (CULA-like / "BLAS2 QR" of Table II) — the entire
 //     factorization on the GPU using bandwidth-bound matrix-vector kernels;
 //     a `tuned` profile models the paper's own tall-skinny-tuned BLAS2 QR
@@ -62,19 +62,6 @@ inline PanelWork blas2_panel_work(idx rows, idx nb) {
 // MAGMA-like hybrid QR.
 // ---------------------------------------------------------------------------
 
-struct HybridQrOptions {
-  idx nb = 128;  // MAGMA v1.0 default panel width
-  // Effective host bandwidth for the multithreaded BLAS2 panel. The panel
-  // work is charged as 3 passes (gemv read, ger read+write); partial cache
-  // reuse between passes is folded into this effective rate.
-  double cpu_panel_bw_gbs = 24.0;
-  // Look-ahead: overlap the CPU factorization of panel p+1 with the GPU
-  // update of panel p. Only effective when the trailing update is wide
-  // enough to hide the panel (never for tall-skinny shapes).
-  bool lookahead = true;
-  const char* label = "hybrid_qr";
-};
-
 template <typename T>
 struct BaselineResult {
   Matrix<T> factored;   // GEQRF-format reflectors + R
@@ -87,8 +74,13 @@ struct BaselineResult {
 };
 
 template <typename T>
-BaselineResult<T> hybrid_qr(gpusim::Device& dev, Matrix<T> a,
-                            const HybridQrOptions& opt = {}) {
+BaselineResult<T> hybrid_qr(gpusim::Device& dev, Matrix<T> a) {
+  // MAGMA v1.0 default panel width.
+  constexpr idx kNb = 128;
+  // Effective host bandwidth for the multithreaded BLAS2 panel. The panel
+  // work is charged as 3 passes (gemv read, ger read+write); partial cache
+  // reuse between passes is folded into this effective rate.
+  constexpr double kCpuPanelBwGbs = 24.0;
   const idx m = a.rows(), n = a.cols();
   const idx kmax = std::min(m, n);
   BaselineResult<T> out{std::move(a),
@@ -103,21 +95,21 @@ BaselineResult<T> hybrid_qr(gpusim::Device& dev, Matrix<T> a,
   double now = 0;
   gpusim::Device gemm_probe(dev.model(), gpusim::ExecMode::ModelOnly);
 
-  for (idx k = 0; k < kmax; k += opt.nb) {
-    const idx nb = std::min(opt.nb, kmax - k);
+  for (idx k = 0; k < kmax; k += kNb) {
+    const idx nb = std::min(kNb, kmax - k);
     const idx rows = m - k;
     // Panel to host, factor, back to device.
     const double panel_bytes = static_cast<double>(rows) * nb * sizeof(T);
     const PanelWork pw = blas2_panel_work(rows, nb);
     const double t_transfer = 2.0 * link.transfer_seconds(panel_bytes);
-    const double t_panel = pw.bytes / (opt.cpu_panel_bw_gbs * 1e9);
+    const double t_panel = pw.bytes / (kCpuPanelBwGbs * 1e9);
 
-    // The CPU leg can start as soon as the panel's column block is
-    // up-to-date on the GPU side, i.e. after the previous trailing update
-    // unless look-ahead split that update into [panel columns | rest].
-    const double cpu_start = opt.lookahead
-                                 ? std::max(cpu_free, now)
-                                 : std::max({cpu_free, gpu_free, now});
+    // Look-ahead: the CPU leg starts as soon as the panel's column block is
+    // up-to-date on the GPU side, overlapping the factorization of panel
+    // p+1 with the rest of panel p's trailing update. Only effective when
+    // that update is wide enough to hide the panel (never for tall-skinny
+    // shapes).
+    const double cpu_start = std::max(cpu_free, now);
     const double cpu_done = cpu_start + t_transfer + t_panel;
     cpu_total += t_panel;
     pcie_total += t_transfer;
@@ -137,19 +129,19 @@ BaselineResult<T> hybrid_qr(gpusim::Device& dev, Matrix<T> a,
     const double gpu_start = std::max(gpu_free, cpu_done);
     gpu_free = gpu_start + t_update;
     gpu_total += t_update;
-    now = opt.lookahead ? gpu_start : gpu_free;
+    now = gpu_start;
   }
   // The timeline advances by the schedule's makespan (overlap already
   // credited); the CPU/PCIe/GPU component sums are reported separately so
   // benches can show where hybrid time goes.
   const double makespan = std::max(cpu_free, gpu_free);
-  dev.add_external_seconds(makespan, opt.label);
+  dev.add_external_seconds(makespan, "hybrid_qr");
   out.cpu_seconds = cpu_total;
   out.pcie_seconds = pcie_total;
   out.gpu_seconds = gpu_total;
 
   if (dev.mode() == gpusim::ExecMode::Functional) {
-    geqrf(out.factored.view(), out.tau.data(), opt.nb);
+    geqrf(out.factored.view(), out.tau.data(), kNb);
   }
   out.seconds = dev.elapsed_seconds() - t0;
   return out;

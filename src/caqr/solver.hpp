@@ -94,9 +94,9 @@ double predict_caqr_seconds(const gpusim::GpuMachineModel& model, idx m, idx n,
 
 template <typename T>
 double predict_hybrid_seconds(const gpusim::GpuMachineModel& model, idx m,
-                              idx n, const baselines::HybridQrOptions& opt = {}) {
+                              idx n) {
   gpusim::Device probe(model, gpusim::ExecMode::ModelOnly);
-  return baselines::hybrid_qr(probe, Matrix<T>::shape_only(m, n), opt).seconds;
+  return baselines::hybrid_qr(probe, Matrix<T>::shape_only(m, n)).seconds;
 }
 
 // The §V.C selector between the two Householder algorithms: CAQR unless
@@ -105,10 +105,9 @@ double predict_hybrid_seconds(const gpusim::GpuMachineModel& model, idx m,
 // requests) goes through here.
 template <typename T>
 QrAlgorithm pick_householder(const gpusim::GpuMachineModel& model, idx m,
-                             idx n, const CaqrOptions& caqr_opt = {},
-                             const baselines::HybridQrOptions& hybrid_opt = {}) {
+                             idx n, const CaqrOptions& caqr_opt = {}) {
   return predict_caqr_seconds<T>(model, m, n, caqr_opt) <=
-                 predict_hybrid_seconds<T>(model, m, n, hybrid_opt)
+                 predict_hybrid_seconds<T>(model, m, n)
              ? QrAlgorithm::Caqr
              : QrAlgorithm::Hybrid;
 }
@@ -124,8 +123,7 @@ QrAlgorithm pick_householder(const gpusim::GpuMachineModel& model, idx m,
 template <typename VA>
 QrSolveResult<view_scalar_t<VA>> adaptive_qr(
     gpusim::Device& dev, const VA& a_in, QrAlgorithm algo = QrAlgorithm::Auto,
-    const CaqrOptions& caqr_opt = {},
-    const baselines::HybridQrOptions& hybrid_opt = {}) {
+    const CaqrOptions& caqr_opt = {}) {
   using T = view_scalar_t<VA>;
   const ConstMatrixView<T> a = cview(a_in);
   const idx m = a.rows(), n = a.cols();
@@ -133,7 +131,7 @@ QrSolveResult<view_scalar_t<VA>> adaptive_qr(
   const bool functional = dev.mode() == gpusim::ExecMode::Functional;
 
   if (algo == QrAlgorithm::Auto) {
-    algo = pick_householder<T>(dev.model(), m, n, caqr_opt, hybrid_opt);
+    algo = pick_householder<T>(dev.model(), m, n, caqr_opt);
   }
 
   const double t0 = dev.elapsed_seconds();
@@ -156,7 +154,7 @@ QrSolveResult<view_scalar_t<VA>> adaptive_qr(
     out.run_status = f.status();
     out.severity = out.run_status.severity;
   } else {
-    auto res = baselines::hybrid_qr(dev, input(), hybrid_opt);
+    auto res = baselines::hybrid_qr(dev, input());
     if (functional) {
       out.r = extract_r(res.factored.view());
       out.q = form_q(res.factored.view(), res.tau.data(), k);

@@ -26,7 +26,7 @@
 //     recovered transfer is bit-identical to a fault-free one.
 //   * device loss — a device dies at a chosen transfer ordinal (or via
 //     kill_device()). Death is detected at the next rendezvous that touches
-//     the dead peer: the survivor charges rendezvous_timeout_us to its
+//     the dead peer: the survivor charges kRendezvousTimeoutUs to its
 //     timeline and the transfer fails TYPED (TransferResult::peer_dead from
 //     the checked API, DeviceLostError from the legacy double-returning
 //     API) instead of waiting forever. Recovery — shard reassignment over
@@ -122,21 +122,23 @@ struct DeviceLossPlan {
   long long at_transfer = 0;
 };
 
-// Grid-level fault-tolerance policy + injection schedule.
+// Grid-level fault-tolerance constants. Every payload transfer is verified
+// by an FNV-1a checksum; with injection off it costs nothing (the compare is
+// skipped entirely).
+//
+// Bounded resend budget per transfer.
+inline constexpr int kMaxTransferRetries = 3;
+// Backoff before resend attempt k: kRetryBackoffUs * 2^(k-1), charged to
+// both endpoint timelines as a "link_backoff" external op.
+inline constexpr double kRetryBackoffUs = 25.0;
+// Simulated microseconds a survivor waits before declaring a silent peer
+// dead; charged to the survivor's timeline as "rendezvous_timeout".
+inline constexpr double kRendezvousTimeoutUs = 500.0;
+
+// Grid-level fault injection schedule.
 struct GridFtOptions {
   // Seeded link-fault injection (off by default: both probabilities 0).
   gpusim::LinkFaultOptions link_faults;
-  // Verify an FNV-1a checksum over every payload transfer. On by default —
-  // with injection off it costs nothing (the compare is skipped entirely).
-  bool checksums = true;
-  // Bounded resend budget per transfer; 0 = detect and report only.
-  int max_transfer_retries = 3;
-  // Backoff before resend attempt k: retry_backoff_us * 2^(k-1), charged to
-  // both endpoint timelines as a "link_backoff" external op.
-  double retry_backoff_us = 25.0;
-  // Simulated seconds a survivor waits before declaring a silent peer dead;
-  // charged to the survivor's timeline as "rendezvous_timeout".
-  double rendezvous_timeout_us = 500.0;
   // Deterministic device-loss schedule (each entry fires at most once).
   std::vector<DeviceLossPlan> device_losses;
 };
@@ -217,10 +219,9 @@ class DeviceGrid {
     return hier_ ? hier_->link_between(src, dst) : interconnect_;
   }
 
-  // Grid fault model (injection schedule + recovery policy). Replacing the
-  // options does not resurrect dead devices.
+  // Grid fault injection schedule (link faults + device losses). Replacing
+  // the options does not resurrect dead devices.
   void set_fault_tolerance(GridFtOptions opt) { ft_ = std::move(opt); }
-  const GridFtOptions& fault_tolerance() const { return ft_; }
 
   // ---- device health -------------------------------------------------
   bool alive(int d) const {
@@ -328,7 +329,6 @@ class DeviceGrid {
     gpusim::Device& s = device(src);
     gpusim::Device& d = device(dst);
     const bool inject = ft_.link_faults.enabled();
-    const int max_retries = std::max(0, ft_.max_transfer_retries);
     for (int attempt = 0;; ++attempt) {
       const long long ordinal = transfer_ordinal_++;
       const double t_src = s.sync();
@@ -340,7 +340,7 @@ class DeviceGrid {
       if (attempt > 0) {
         // Exponential backoff before the resend, on both clocks (they are
         // aligned, so they stay aligned).
-        backoff = ft_.retry_backoff_us * 1e-6 *
+        backoff = kRetryBackoffUs * 1e-6 *
                   static_cast<double>(1 << (attempt - 1));
         s.add_external_seconds(backoff, "link_backoff");
         d.add_external_seconds(backoff, "link_backoff");
@@ -390,7 +390,7 @@ class DeviceGrid {
       // directly (the decisions are identical, so timelines stay in parity
       // with a Functional twin).
       bool mismatch = false;
-      if (ft_.checksums && inject) {
+      if (inject) {
         mismatch = functional ? view_checksum(sv) != view_checksum(dv.as_const())
                               : corrupted;
       }
@@ -400,7 +400,7 @@ class DeviceGrid {
         return res;
       }
       ++stats_.checksum_mismatches;
-      if (attempt >= max_retries) {
+      if (attempt >= kMaxTransferRetries) {
         // Budget exhausted: deliver the corrupted payload TYPED — the
         // caller decides whether to escalate. (A final drop leaves the
         // deterministic zero fill in dv.)
@@ -500,7 +500,7 @@ class DeviceGrid {
     res.dead_device = !alive(src) ? src : dst;
     res.severity = ft::Severity::Unrecovered;
     const int survivor = res.dead_device == src ? dst : src;
-    const double timeout = ft_.rendezvous_timeout_us * 1e-6;
+    const double timeout = kRendezvousTimeoutUs * 1e-6;
     if (alive(survivor)) {
       gpusim::Device& sd = device(survivor);
       sd.add_external_seconds(timeout, "rendezvous_timeout");

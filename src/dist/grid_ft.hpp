@@ -53,6 +53,11 @@
 
 namespace caqr::dist {
 
+// Total factorization attempts (first run + recoveries). Each device loss
+// consumes one attempt; the grid can lose at most kMaxGridAttempts - 1
+// devices before factor_with_recovery reports Unrecovered.
+inline constexpr int kMaxGridAttempts = 4;
+
 struct GridRecoveryOptions {
   // Panels between snapshots; 0 disables snapshots entirely (device loss
   // then always escalates to full recompute).
@@ -60,14 +65,6 @@ struct GridRecoveryOptions {
   // Non-empty: every snapshot is also persisted here (atomic tmp+rename),
   // so a later process — or a rebuilt grid — can resume from disk.
   std::string checkpoint_path;
-  // Total factorization attempts (first run + recoveries). Each device loss
-  // consumes one attempt; the grid can lose at most max_attempts - 1
-  // devices before the driver reports Unrecovered.
-  int max_attempts = 4;
-  // Permit rung 3 (full restart from the retained input) when no snapshot
-  // is available. Off: a loss without a snapshot is immediately typed
-  // Unrecovered — the detection-only analogue at grid scale.
-  bool allow_recompute = true;
 };
 
 // A partition-free factorization snapshot: everything needed to continue
@@ -393,7 +390,7 @@ GridCaqrResult<T> factor_with_recovery(
   }
   ft::RunStatus agg;
 
-  for (int attempt = 1; attempt <= ropt.max_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kMaxGridAttempts; ++attempt) {
     res.attempts = attempt;
     DistCaqrOptions opt = base;
     opt.devices = devmap;
@@ -436,7 +433,6 @@ GridCaqrResult<T> factor_with_recovery(
             grid, DistMatrix<T>::scatter(snap.working.as_const(), offsets),
             opt, detail::clone_panel_records<T>(snap.panels), snap.done, hook);
       } else {
-        if (attempt > 1 && !ropt.allow_recompute) break;  // rung 4
         if (attempt > 1) res.used_recompute = true;
         f = DistCaqrFactorization<T>::factor(
             grid, DistMatrix<T>::scatter(a, offsets), opt, hook);

@@ -92,9 +92,6 @@ struct FtOptions {
   // order, so tighten it (the recovery sweep uses 16) when downstream
   // accuracy demands a smaller escape window.
   double tol_multiplier = 512.0;
-  // Charge the checksum/verify/snapshot traffic to the performance model
-  // (one "<kernel>_abft" op per guarded launch, visible in ModelOnly too).
-  bool charge_model = true;
 
   bool recovery() const { return max_launch_retries > 0; }
 };

@@ -188,7 +188,7 @@ class Device {
       // The checksum encode/verify (and the recovery snapshot traffic) is
       // real work: charge it in both exec modes so ModelOnly timelines show
       // the ABFT overhead.
-      if (ft_.abft && ft_.charge_model) {
+      if (ft_.abft) {
         CostAccum a;
         accum_stats(a, ft::abft_stats(kernel, ft_.recovery()), 1.0);
         enqueue_cost_op(stream, std::string(kernel.name()) + "_abft", 1, a,
@@ -502,13 +502,11 @@ class Device {
       ft::abft_restore(kernel, snap.as_const(), bad, bystander);
       if (!bad.empty()) {
         ft_summary_.retried_blocks += static_cast<long long>(bad.size());
-        if (ft_.charge_model) {
-          CostAccum a;
-          for (idx b : bad) accum_stats(a, kernel.block_stats(b), 1.0);
-          enqueue_cost_op(stream, std::string(kernel.name()) + "_retry",
-                          static_cast<long long>(bad.size()), a,
-                          model_.kernel_launch_us * 1e-6);
-        }
+        CostAccum a;
+        for (idx b : bad) accum_stats(a, kernel.block_stats(b), 1.0);
+        enqueue_cost_op(stream, std::string(kernel.name()) + "_retry",
+                        static_cast<long long>(bad.size()), a,
+                        model_.kernel_launch_us * 1e-6);
         run_blocks(kernel, num_blocks, launch_ordinal_++, &bad);
       }
       ++retries;

@@ -32,10 +32,6 @@
 namespace caqr::rpca {
 
 struct RpcaOptions {
-  // lambda = weight of the l1 term; 0 picks the standard 1/sqrt(max(m, n)).
-  double lambda = 0.0;
-  double mu = 0.0;        // 0 picks 1.25 / ||M||_2 (estimated via sigma_1)
-  double rho = 1.5;       // mu growth factor per iteration
   int max_iterations = 100;
   double tolerance = 1e-6;  // ||M - L - S||_F / ||M||_F stopping criterion
   // SVD pipeline options for the per-iteration SVT. Setting svd.qr_hook to
@@ -103,7 +99,9 @@ RpcaResult<view_scalar_t<VM>> robust_pca(gpusim::Device& dev, const VM& m_in,
   const idx rows = m.rows(), cols = m.cols();
   CAQR_CHECK(rows >= cols && cols >= 1);
 
-  const double lambda = opt.lambda > 0 ? opt.lambda : default_rpca_lambda(rows);
+  // Weight of the l1 term, and the mu growth factor per iteration.
+  const double lambda = default_rpca_lambda(rows);
+  constexpr double kRho = 1.5;
   const double norm_m = frobenius_norm(m);
 
   RpcaResult<T> out{Matrix<T>::zeros(rows, cols), Matrix<T>::zeros(rows, cols),
@@ -111,7 +109,7 @@ RpcaResult<view_scalar_t<VM>> robust_pca(gpusim::Device& dev, const VM& m_in,
   Matrix<T> y = Matrix<T>::zeros(rows, cols);
   Matrix<T> work(rows, cols);
 
-  double mu = opt.mu;
+  double mu = 0.0;
   int first_it = 0;
   if (!opt.checkpoint_path.empty()) {
     if (const auto r = ft::CheckpointReader::load(opt.checkpoint_path)) {
@@ -191,7 +189,7 @@ RpcaResult<view_scalar_t<VM>> robust_pca(gpusim::Device& dev, const VM& m_in,
     }
     out.residual = norm_m > 0 ? std::sqrt(res2) / norm_m : std::sqrt(res2);
     out.iterations = it + 1;
-    mu *= opt.rho;
+    mu *= kRho;
     if (out.residual < opt.tolerance) {
       out.converged = true;
       break;

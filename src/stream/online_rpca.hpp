@@ -14,7 +14,7 @@
 //   2. small SVD of the window R (svd::small_svd_of_r — stage 2 of the
 //      tall-skinny pipeline, identical charge);
 //   3. background subspace V_k = leading right singular vectors capturing
-//      `rank_energy` of the spectral energy; low-rank part of the new frame
+//      95% of the spectral energy; low-rank part of the new frame
 //      L = f V_k V_k^T (two skinny GEMMs), sparse part S = shrink(f - L),
 //      with the batch solver's default lambda at the frame's row count.
 //
@@ -49,19 +49,11 @@ struct OnlineRpcaOptions {
   idx cols = 64;           // feature width (downsampled pixels per row)
   idx frame_rows = 160;    // rows contributed by one frame block
   idx window_frames = 64;  // frames retained (window = frames x frame_rows)
-  // l1 weight for the sparse part; 0 picks the batch solver's default at
-  // the frame's max dimension.
-  double lambda = 0.0;
-  // Smallest k whose singular values capture this energy fraction is the
-  // background rank.
-  double rank_energy = 0.95;
   // Relative Gram-trace divergence that triggers a full refactor. The
   // default tolerates normal float accumulation over thousands of combines;
   // 0 forces a refactor every frame (used by tests to pin the drift path).
   double drift_threshold = 1e-3;
-  svd::SmallSvd small_svd = svd::SmallSvd::Jacobi;
   int svd_max_sweeps = 60;
-  double cpu_svd_gflops = 4.0;
   kernels::ReductionVariant variant =
       kernels::ReductionVariant::RegisterSerialTransposed;
 };
@@ -152,10 +144,13 @@ class OnlineRpca {
                            "stream_project");
     if (functional) {
       out.svd_converged = rs.converged;
+      // Smallest k whose singular values capture this energy fraction is
+      // the background rank.
+      constexpr double kRankEnergy = 0.95;
       double total = 0.0, cum = 0.0;
       for (const T s : rs.sigma) total += static_cast<double>(s) * s;
       idx k = 0;
-      while (k < opt_.cols && cum < opt_.rank_energy * total) {
+      while (k < opt_.cols && cum < kRankEnergy * total) {
         const double s = static_cast<double>(rs.sigma[static_cast<std::size_t>(k)]);
         cum += s * s;
         ++k;
@@ -170,10 +165,9 @@ class OnlineRpca {
       gemm(Trans::No, Trans::Yes, T(1), proj.view(), vk, T(0),
            out.low_rank.view());
 
-      const double lambda = opt_.lambda > 0
-                                ? opt_.lambda
-                                : rpca::default_rpca_lambda(std::max(
-                                      opt_.frame_rows, opt_.cols));
+      // l1 weight: the batch solver's default at the frame's max dimension.
+      const double lambda =
+          rpca::default_rpca_lambda(std::max(opt_.frame_rows, opt_.cols));
       for (idx j = 0; j < opt_.cols; ++j) {
         for (idx i = 0; i < opt_.frame_rows; ++i) {
           out.sparse(i, j) = frame(i, j) - out.low_rank(i, j);
@@ -207,12 +201,8 @@ class OnlineRpca {
              static_cast<std::int64_t>(opt_.frame_rows));
     w.scalar(prefix + "window_frames",
              static_cast<std::int64_t>(opt_.window_frames));
-    w.scalar(prefix + "lambda", opt_.lambda);
-    w.scalar(prefix + "rank_energy", opt_.rank_energy);
     w.scalar(prefix + "drift_threshold", opt_.drift_threshold);
-    w.scalar(prefix + "small_svd", static_cast<std::int32_t>(opt_.small_svd));
     w.scalar(prefix + "svd_max_sweeps", opt_.svd_max_sweeps);
-    w.scalar(prefix + "cpu_svd_gflops", opt_.cpu_svd_gflops);
     w.scalar(prefix + "variant", static_cast<std::int32_t>(opt_.variant));
     w.scalar(prefix + "frames_seen", frames_seen_);
     w.scalar(prefix + "window_sq", window_sq_);
@@ -236,16 +226,12 @@ class OnlineRpca {
                                            const std::string& prefix) {
     OnlineRpcaOptions opt;
     std::int64_t cols = 0, frame_rows = 0, window_frames = 0, retained = 0;
-    std::int32_t small_svd = 0, variant = 0;
+    std::int32_t variant = 0;
     if (!r.scalar(prefix + "cols", cols) ||
         !r.scalar(prefix + "frame_rows", frame_rows) ||
         !r.scalar(prefix + "window_frames", window_frames) ||
-        !r.scalar(prefix + "lambda", opt.lambda) ||
-        !r.scalar(prefix + "rank_energy", opt.rank_energy) ||
         !r.scalar(prefix + "drift_threshold", opt.drift_threshold) ||
-        !r.scalar(prefix + "small_svd", small_svd) ||
         !r.scalar(prefix + "svd_max_sweeps", opt.svd_max_sweeps) ||
-        !r.scalar(prefix + "cpu_svd_gflops", opt.cpu_svd_gflops) ||
         !r.scalar(prefix + "variant", variant) ||
         !r.scalar(prefix + "retained", retained) || cols < 1 ||
         frame_rows < 1 || window_frames < 1 || retained < 0 ||
@@ -255,7 +241,6 @@ class OnlineRpca {
     opt.cols = static_cast<idx>(cols);
     opt.frame_rows = static_cast<idx>(frame_rows);
     opt.window_frames = static_cast<idx>(window_frames);
-    opt.small_svd = static_cast<svd::SmallSvd>(small_svd);
     opt.variant = static_cast<kernels::ReductionVariant>(variant);
     OnlineRpca<T> out(opt);
     if (!r.scalar(prefix + "frames_seen", out.frames_seen_) ||
@@ -289,9 +274,7 @@ class OnlineRpca {
  private:
   svd::TallSkinnySvdOptions svd_opt() const {
     svd::TallSkinnySvdOptions o;
-    o.small_svd = opt_.small_svd;
     o.svd_max_sweeps = opt_.svd_max_sweeps;
-    o.cpu_svd_gflops = opt_.cpu_svd_gflops;
     return o;
   }
 

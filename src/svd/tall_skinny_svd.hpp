@@ -22,7 +22,6 @@
 #include "baselines/qr_baselines.hpp"
 #include "caqr/caqr.hpp"
 #include "gpusim/device.hpp"
-#include "linalg/bidiag.hpp"
 #include "linalg/svd.hpp"
 
 namespace caqr::svd {
@@ -42,12 +41,6 @@ struct TallSkinnySvd {
 enum class QrBackend {
   Caqr,       // the paper's contribution
   GpuBlas2,   // tuned bandwidth-bound GPU QR (Table II middle row)
-};
-
-// Algorithm for the small CPU SVD of R.
-enum class SmallSvd {
-  Jacobi,    // one-sided Jacobi directly on R
-  TwoPhase,  // Golub-Kahan bidiagonalization + Jacobi on the bidiagonal
 };
 
 // Routing point for external QR execution (the serving layer's
@@ -74,12 +67,7 @@ class QrHook {
 
 struct TallSkinnySvdOptions {
   QrBackend backend = QrBackend::Caqr;
-  SmallSvd small_svd = SmallSvd::Jacobi;
   caqr::CaqrOptions caqr;
-  baselines::GpuBlas2QrOptions blas2 = baselines::GpuBlas2QrOptions::tuned();
-  // Effective rate of the small n x n Jacobi SVD on the host CPU
-  // (bandwidth-irrelevant; tiny working set), used for simulated time.
-  double cpu_svd_gflops = 4.0;
   // Sweep budget for the small Jacobi SVD; exhaustion is surfaced via
   // TallSkinnySvd::small_svd_converged instead of being silently dropped.
   int svd_max_sweeps = 60;
@@ -92,17 +80,19 @@ struct TallSkinnySvdOptions {
 
 // Simulated-time charge for the small CPU SVD of R (one-sided Jacobi,
 // ~6 sweeps x 4n^3 flops/sweep) plus the PCIe round trip for R.
-inline void charge_small_svd(gpusim::Device& dev, idx n,
-                             double cpu_svd_gflops) {
+inline void charge_small_svd(gpusim::Device& dev, idx n) {
+  // Effective rate of the small n x n Jacobi SVD on the host CPU
+  // (bandwidth-irrelevant; tiny working set).
+  constexpr double kCpuSvdGflops = 4.0;
   const double flops = 24.0 * static_cast<double>(n) * n * n;
   dev.transfer(static_cast<double>(n) * n * sizeof(float));
-  dev.add_external_seconds(flops / (cpu_svd_gflops * 1e9), "cpu_small_svd");
+  dev.add_external_seconds(flops / (kCpuSvdGflops * 1e9), "cpu_small_svd");
   dev.transfer(2.0 * static_cast<double>(n) * n * sizeof(float));  // U and V
 }
 
 // Stage 2 of the pipeline as a standalone entry point: the small n x n CPU
-// SVD of an already-computed R, with the same timeline charge and algorithm
-// selection as tall_skinny_svd. Callers that maintain R incrementally (the
+// SVD of an already-computed R, with the same timeline charge as
+// tall_skinny_svd. Callers that maintain R incrementally (the
 // streaming layer's SlidingWindowQr keeps the window R current across
 // append/evict) use this to get singular values/subspaces per frame without
 // re-running stage 1 at all. Functional mode computes; ModelOnly only
@@ -113,12 +103,10 @@ SvdResult<view_scalar_t<VR>> small_svd_of_r(
   using T = view_scalar_t<VR>;
   const ConstMatrixView<T> r = cview(r_in);
   CAQR_CHECK(r.rows() == r.cols() && r.cols() >= 1);
-  charge_small_svd(dev, r.cols(), opt.cpu_svd_gflops);
+  charge_small_svd(dev, r.cols());
   SvdResult<T> rs;
   if (dev.mode() == gpusim::ExecMode::Functional) {
-    rs = opt.small_svd == SmallSvd::Jacobi
-             ? jacobi_svd(r, opt.svd_max_sweeps)
-             : two_phase_svd(r, opt.svd_max_sweeps);
+    rs = jacobi_svd(r, opt.svd_max_sweeps);
   }
   return rs;
 }
@@ -166,13 +154,14 @@ TallSkinnySvd<view_scalar_t<VA>> tall_skinny_svd(
       }
     }
   } else {
-    auto res = baselines::gpu_blas2_qr(dev, working_copy(), opt.blas2);
+    const auto blas2 = baselines::GpuBlas2QrOptions::tuned();
+    auto res = baselines::gpu_blas2_qr(dev, working_copy(), blas2);
     if (dev.mode() == gpusim::ExecMode::Functional) {
       r.view().copy_from(extract_r(res.factored.view()).view().block(0, 0, n, n));
       q = form_q(res.factored.view(), res.tau.data(), n);
     }
     // Forming Q for the BLAS2 backend costs another bandwidth-bound sweep.
-    baselines::GpuBlas2QrOptions orgqr = opt.blas2;
+    baselines::GpuBlas2QrOptions orgqr = blas2;
     orgqr.label = "blas2_orgqr";
     baselines::charge_blas2_sweep(dev, m, n, orgqr);
   }

@@ -395,6 +395,50 @@ TEST(OnlineRpca, MigrationBitIdenticalUnderSeededFaultInjector) {
   std::remove(path.c_str());
 }
 
+// Checkpoints written while lambda, rank_energy, small_svd and
+// cpu_svd_gflops were options still load: the extra sections are ignored
+// and the continuation is bit-identical to an uninterrupted run.
+TEST(OnlineRpca, LoadsCheckpointWithRetiredOptionSections) {
+  const auto cfg = small_stream(5, 95);
+  auto frames = gaussian_matrix<double>(cfg.rpca.frame_rows * 10,
+                                        cfg.rpca.cols, 96);
+  auto frame = [&](idx i) {
+    return frames.view().block(i * cfg.rpca.frame_rows, 0,
+                               cfg.rpca.frame_rows, cfg.rpca.cols);
+  };
+  Device dev;
+  stream::OnlineRpca<double> golden(cfg.rpca);
+  for (idx i = 0; i < 6; ++i) golden.consume(dev, frame(i));
+
+  ft::CheckpointWriter w;
+  golden.save(w, "o.");
+  w.scalar("o.lambda", 0.0);
+  w.scalar("o.rank_energy", 0.95);
+  w.scalar("o.small_svd", static_cast<std::int32_t>(0));
+  w.scalar("o.cpu_svd_gflops", 4.0);
+  const std::string path = "/tmp/caqr_test_online_rpca_v1.ckpt";
+  ASSERT_TRUE(w.write(path));
+  const auto reader = ft::CheckpointReader::load(path);
+  ASSERT_TRUE(reader.has_value());
+  auto resumed = stream::OnlineRpca<double>::load(*reader, "o.");
+  ASSERT_TRUE(resumed.has_value());
+
+  Device dev2;
+  for (idx i = 6; i < 10; ++i) {
+    const auto a = golden.consume(dev, frame(i));
+    const auto b = resumed->consume(dev2, frame(i));
+    EXPECT_EQ(a.rank, b.rank);
+    for (idx j = 0; j < cfg.rpca.cols; ++j) {
+      ASSERT_EQ(std::memcmp(a.sparse.view().col(j), b.sparse.view().col(j),
+                            sizeof(double) * static_cast<std::size_t>(
+                                                 cfg.rpca.frame_rows)),
+                0)
+          << "frame " << i << " sparse column " << j;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // -- Multi-tenant serving --
 
 TEST(StreamServer, ServesRoundsWithFairShareAndLatencyHistograms) {
