@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "linalg/norms.hpp"
@@ -35,6 +37,30 @@ double svd_residual(In<ConstMatrixView<T>> a, const SvdResult<T>& f) {
   const double den = frobenius_norm(a);
   return den > 0 ? std::sqrt(num) / den : std::sqrt(num);
 }
+
+struct SvdShape {
+  idx m, n;
+};
+
+class JacobiSvdShapes : public ::testing::TestWithParam<SvdShape> {};
+
+TEST_P(JacobiSvdShapes, ReconstructsAFromFactors) {
+  const auto [m, n] = GetParam();
+  auto a = gaussian_matrix<double>(m, n, 41);
+  auto f = jacobi_svd(a.view());
+  ASSERT_TRUE(f.converged);
+  EXPECT_LT(orthogonality_error(f.u.view()), 1e-12);
+  EXPECT_LT(orthogonality_error(f.v.view()), 1e-12);
+  EXPECT_LT(svd_residual(a.view(), f), 1e-13);
+  EXPECT_TRUE(std::is_sorted(f.sigma.rbegin(), f.sigma.rend()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, JacobiSvdShapes,
+                         ::testing::Values(SvdShape{1, 1}, SvdShape{5, 2},
+                                           SvdShape{8, 8}, SvdShape{50, 12},
+                                           SvdShape{200, 30},
+                                           SvdShape{33, 33},
+                                           SvdShape{64, 3}));
 
 TEST(JacobiSvd, DiagonalMatrixIsExact) {
   auto a = Matrix<double>::zeros(4, 4);
@@ -102,6 +128,37 @@ TEST(JacobiSvd, KnownSingularValuesRecovered) {
   for (idx j = 0; j < n; ++j) {
     EXPECT_NEAR(f.sigma[static_cast<std::size_t>(j)],
                 sigma[static_cast<std::size_t>(j)], 1e-11);
+  }
+}
+
+TEST(JacobiSvd, IllConditionedSigmasAccurate) {
+  auto a = matrix_with_condition<double>(120, 10, 1e9, 48);
+  auto f = jacobi_svd(a.view());
+  ASSERT_TRUE(f.converged);
+  // Largest and smallest recovered to appropriate relative accuracy.
+  EXPECT_NEAR(f.sigma.front(), 1.0, 1e-10);
+  EXPECT_NEAR(f.sigma.back() / 1e-9, 1.0, 1e-4);
+}
+
+// The pipeline's premise: A and its R factor share singular values, so the
+// small SVD of R stands in for the SVD of A.
+TEST(JacobiSvd, SigmasOfRMatchSigmasOfA) {
+  for (const auto& [m, n] : {std::pair<idx, idx>{30, 8}, {100, 20}, {16, 16}}) {
+    auto a = gaussian_matrix<double>(m, n, static_cast<std::uint64_t>(m + n));
+    auto g = a.clone();
+    std::vector<double> tau(static_cast<std::size_t>(n));
+    geqrf(g.view(), tau.data());
+    auto r = extract_r(g.view());
+    auto fr = jacobi_svd(r.view());
+    auto fa = jacobi_svd(a.view());
+    ASSERT_TRUE(fr.converged);
+    ASSERT_TRUE(fa.converged);
+    for (idx i = 0; i < n; ++i) {
+      ASSERT_NEAR(fr.sigma[static_cast<std::size_t>(i)],
+                  fa.sigma[static_cast<std::size_t>(i)],
+                  1e-11 * (1.0 + fa.sigma[0]))
+          << m << "x" << n;
+    }
   }
 }
 
